@@ -36,6 +36,9 @@ pub struct Config {
     pub checkpoint_source: String,
     /// The checkpoint format doc that must state the same version.
     pub checkpoint_doc: String,
+    /// Summary docs whose checkpoint version ranges (`v2 → … → vN`)
+    /// must end at the same version.
+    pub checkpoint_range_docs: Vec<String>,
     /// Docs that must table every reserved stream.
     pub stream_table_docs: Vec<String>,
     /// `crate name -> reason` entries allowed to omit
@@ -105,6 +108,7 @@ impl Config {
                 .ok_or_else(|| ConfigError("missing [consistency] checkpoint-source".into()))?,
             checkpoint_doc: get_str("consistency", "checkpoint-doc")
                 .ok_or_else(|| ConfigError("missing [consistency] checkpoint-doc".into()))?,
+            checkpoint_range_docs: get_list("consistency", "checkpoint-range-docs"),
             stream_table_docs: get_list("consistency", "stream-table-docs"),
             unsafe_allowlist,
         })

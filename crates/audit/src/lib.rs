@@ -26,7 +26,8 @@
 //!   `#![forbid(unsafe_code)]` in every crate root, no
 //!   `unwrap`/`expect`/`panic!` in engine step/apply paths;
 //! * **cross-file consistency** (`doc-version`, `doc-stream-table`) —
-//!   the checkpoint format version matches `docs/CHECKPOINTS.md`, and
+//!   the checkpoint format version matches `docs/CHECKPOINTS.md` and
+//!   the README's version range, and
 //!   every reserved stream is tabled in the architecture docs.
 //!
 //! Pragmas themselves are audited: an unknown rule name or a missing

@@ -5,7 +5,9 @@
 //!
 //! * the **checkpoint format version** — `const VERSION` in the
 //!   checkpoint codec vs the "current version (vN)" statement and the
-//!   version-history table column in `docs/CHECKPOINTS.md`;
+//!   version-history table column in `docs/CHECKPOINTS.md`, and vs
+//!   every version range (`v2 → … → vN`) in the summary docs that
+//!   mention the format (the README);
 //! * the **reserved-stream registry** — every constant in the `rng`
 //!   registry must appear as a table row in each configured doc, so a
 //!   new subsystem stream cannot land undocumented.
@@ -40,6 +42,11 @@ fn check_version(root: &Path, cfg: &Config, diags: &mut Vec<Diagnostic>) {
         ));
         return;
     };
+    for doc_path in &cfg.checkpoint_range_docs {
+        if let Some(doc) = read(root, doc_path, diags) {
+            check_version_ranges(&doc, doc_path, version, cfg, src_line, diags);
+        }
+    }
     let Some(doc) = read(root, &cfg.checkpoint_doc, diags) else {
         return;
     };
@@ -68,6 +75,65 @@ fn check_version(root: &Path, cfg: &Config, diags: &mut Vec<Diagnostic>) {
             format!("the version-history table has no `v{version}` column"),
         ));
     }
+}
+
+/// A summary doc must name the format's version history as a range
+/// ending at the current version (`→ vN`, or `-> vN`), and every range
+/// it states must end there: a stale `v2 → … → v5` is drift even when
+/// a correct range appears elsewhere in the same doc. A doc with no
+/// range at all is flagged too, so the mention cannot be dropped
+/// silently.
+fn check_version_ranges(
+    doc: &str,
+    doc_path: &str,
+    version: u32,
+    cfg: &Config,
+    src_line: usize,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let mut found = false;
+    for (i, line) in doc.lines().enumerate() {
+        for end in range_ends(line) {
+            found = true;
+            if end != version {
+                diags.push(diag(
+                    "doc-version",
+                    doc_path,
+                    i + 1,
+                    format!(
+                        "checkpoint version range ends at v{end} but the codec declares \
+                         v{version} ({}:{src_line})",
+                        cfg.checkpoint_source
+                    ),
+                ));
+            }
+        }
+    }
+    if !found {
+        diags.push(diag(
+            "doc-version",
+            doc_path,
+            1,
+            format!("no checkpoint version range (`v2 → … → v{version}`) found"),
+        ));
+    }
+}
+
+/// The `N` of every `→ vN` / `-> vN` in `line`.
+fn range_ends(line: &str) -> Vec<u32> {
+    ["→ v", "-> v"]
+        .iter()
+        .flat_map(|arrow| {
+            line.match_indices(arrow)
+                .map(|(at, m)| &line[at + m.len()..])
+        })
+        .filter_map(|rest| {
+            let digits = rest
+                .find(|c: char| !c.is_ascii_digit())
+                .unwrap_or(rest.len());
+            rest[..digits].parse().ok()
+        })
+        .collect()
 }
 
 fn check_stream_tables(

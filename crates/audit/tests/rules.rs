@@ -29,6 +29,7 @@ fn strict_config() -> Config {
         ant_index_ceiling: 0xFFFF_FFFF_0000_0000,
         checkpoint_source: "checkpoint.rs".into(),
         checkpoint_doc: "CHECKPOINTS.md".into(),
+        checkpoint_range_docs: vec!["README.md".into()],
         stream_table_docs: vec!["ARCHITECTURE.md".into()],
         unsafe_allowlist: BTreeMap::new(),
     }
@@ -182,10 +183,49 @@ fn bad_consistency_is_flagged() {
         .filter(|d| d.rule == "doc-stream-table")
         .count();
     assert_eq!(
-        versions, 2,
-        "prose marker + missing table column: {diags:?}"
+        versions, 3,
+        "prose marker + missing table column + stale README range: {diags:?}"
     );
     assert_eq!(tables, 1, "missing NOISE row: {diags:?}");
+}
+
+#[test]
+fn readme_version_range_must_end_at_the_codec_version() {
+    let root = std::env::temp_dir().join(format!("antalloc_audit_range_{}", std::process::id()));
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join("checkpoint.rs"), "const VERSION: u32 = 7;\n").unwrap();
+    std::fs::write(
+        root.join("CHECKPOINTS.md"),
+        "The current version (v7).\n\n| Section | v6 | v7 |\n",
+    )
+    .unwrap();
+    std::fs::write(root.join("ARCHITECTURE.md"), "| `ENGINE` |\n| `NOISE` |\n").unwrap();
+    let readme_diags = |readme: &str| {
+        std::fs::write(root.join("README.md"), readme).unwrap();
+        let mut diags = Vec::new();
+        rules::consistency::check(&root, &strict_config(), &registry(), &mut diags);
+        assert!(diags.iter().all(|d| d.path == "README.md"), "{diags:?}");
+        diags
+            .into_iter()
+            .map(|d| (d.line, d.rule))
+            .collect::<Vec<_>>()
+    };
+    let version = || "doc-version".to_string();
+    assert_eq!(readme_diags("Format (v2 → … → v7).\n"), []);
+    assert_eq!(readme_diags("Format (v2 -> v7).\n"), []);
+    // The drift this rule exists for: a range left at an old version.
+    assert_eq!(
+        readme_diags("# Readme\nFormat (v2 → … → v5).\n"),
+        [(2, version())]
+    );
+    // A stale range is flagged even next to a current one.
+    assert_eq!(
+        readme_diags("Format (v2 → … → v7).\nOld (v2 → v6).\n"),
+        [(2, version())]
+    );
+    // Dropping the mention altogether is drift too.
+    assert_eq!(readme_diags("No format mention.\n"), [(1, version())]);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 #[test]

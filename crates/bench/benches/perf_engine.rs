@@ -202,13 +202,22 @@ struct KindResult {
 }
 
 /// Colony size above which the fused parallel path is documented to
-/// beat the serial path (given > 2 hardware threads). The scaling
+/// beat the serial path (given >= 2 hardware threads). The scaling
 /// guard in [`banks_vs_seed`] enforces this; `docs/ARCHITECTURE.md`
 /// and the README state it.
 const PARALLEL_CROSSOVER_N: usize = 100_000;
 
-/// Thread counts for the per-kind parallel scaling curve.
+/// Thread counts for the per-kind parallel scaling curve, before
+/// [`scaling_threads`] clamps them to the host.
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The points of [`SCALING_THREADS`] the host can run without
+/// oversubscription: more threads than available parallelism measures
+/// time slicing, not scaling.
+fn scaling_threads() -> Vec<usize> {
+    let hw = antalloc_bench::available_parallelism();
+    SCALING_THREADS.into_iter().filter(|&t| t <= hw).collect()
+}
 
 /// Like-for-like kernel race: the SoA bank's `step_batch` against the
 /// generic monomorphic per-ant loop (`step_slice` over a `Vec` of
@@ -402,9 +411,9 @@ fn banks_vs_seed(_c: &mut Criterion) {
         // min-ants-per-worker floor, and 1 requested thread takes the
         // serial fallback). Bit-identity across thread counts is pinned
         // by the determinism proptests; here we only measure.
-        let scaling: Vec<(usize, f64)> = SCALING_THREADS
-            .iter()
-            .map(|&t| {
+        let scaling: Vec<(usize, f64)> = scaling_threads()
+            .into_iter()
+            .map(|t| {
                 let tput = measure(n, rounds, samples, |r| {
                     banked.run_parallel(r, t, &mut NullObserver)
                 });
@@ -568,10 +577,12 @@ fn banks_vs_seed(_c: &mut Criterion) {
         "{{\n  \"bench\": \"perf_engine/banks_vs_seed\",\n  \"quick\": {},\n  \
          \"n\": {n},\n  \"tasks\": 3,\n  \"rounds_per_sample\": {rounds},\n  \
          \"samples\": {samples},\n  \"threads\": {threads},\n  \
+         \"available_parallelism\": {},\n  \
          \"parallel_crossover_n\": {PARALLEL_CROSSOVER_N},\n  \
          \"arena_overhead\": {{ {}, \"ratio_single_site_vs_wellmixed\": {:.3} }},\n  \
          \"kinds\": {{\n{}\n  }}\n}}",
         quick(),
+        antalloc_bench::available_parallelism(),
         arena_json.join(", "),
         arena_rows[1].1 / wellmixed_tput,
         kinds_json.join(",\n"),
@@ -621,16 +632,12 @@ fn banks_vs_seed(_c: &mut Criterion) {
             );
         }
         // The scaling guard: above the documented crossover size and
-        // given real hardware parallelism (> 2 threads, matching
-        // `worker_threads`' own floor), the best point on the fused
-        // parallel scaling curve must not lose to the serial path.
-        // On 1–2-thread boxes requested-parallel degenerates to the
-        // serial fallback and the curve is flat, so there is nothing
-        // to enforce.
-        let hw = std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1);
-        if n >= PARALLEL_CROSSOVER_N && hw > 2 {
+        // given real hardware parallelism (>= 2 threads), the best
+        // point on the fused parallel scaling curve must not lose to
+        // the serial path. On a 1-thread box the curve is the serial
+        // fallback alone, so there is nothing to enforce.
+        let hw = antalloc_bench::available_parallelism();
+        if n >= PARALLEL_CROSSOVER_N && hw >= 2 {
             let best = r
                 .scaling
                 .iter()

@@ -134,20 +134,17 @@ pub fn perf_quick() -> bool {
     std::env::var("PERF_QUICK").is_ok_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Worker threads for the parallel engine, capped at 8.
-///
-/// On boxes with ≤ 2 hardware threads the coordinator+worker pair
-/// contends with itself and the serial path wins, so this returns 1
-/// there (the engine's own small-colony fallback also applies).
+/// The host's available parallelism (1 when it cannot be queried).
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |v| v.get())
+}
+
+/// Worker threads for the parallel engine: the host's available
+/// parallelism, capped at 8. Every worker owns its round accumulators,
+/// so two workers pay off on a 2-thread host too; the engine still
+/// steps colonies too small to keep the workers busy serially.
 pub fn worker_threads() -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1);
-    if hw <= 2 {
-        1
-    } else {
-        hw.min(8)
-    }
+    available_parallelism().min(8)
 }
 
 /// Renders [`Batch`](antalloc_sim::Batch)/[`Sweep`](antalloc_sim::Sweep)

@@ -121,7 +121,10 @@ impl Clone for TaskColumn {
 /// commute, and `idle_flips` drives XOR bit flips that each touch a
 /// distinct ant at most once per round — so per-worker deltas can be
 /// applied in any order with a bit-identical result.
-#[derive(Clone, Debug)]
+///
+/// The default is an empty delta over zero tasks that owns no buffers;
+/// [`RoundDelta::reset`] sizes it (allocating on the calling thread).
+#[derive(Clone, Debug, Default)]
 pub struct RoundDelta {
     pub(crate) switches: u64,
     pub(crate) idle_delta: i64,

@@ -8,7 +8,7 @@
 //! ant's assignment and RNG state, and the round counter — so a
 //! capture taken *mid-timeline* (after kills, spawns, demand steps,
 //! noise switches or trigger firings) resumes exactly where the script
-//! left off. The byte layout, the v2 → v3 → v4 version history and the
+//! left off. The byte layout, the v2 → … → v7 version history and the
 //! read-compat policy live in `docs/CHECKPOINTS.md`.
 //!
 //! **Exactness contract.** Controllers are rebuilt from their spec and
@@ -544,12 +544,18 @@ impl Checkpoint {
             )));
         }
         let mut assignments = Vec::with_capacity(ants);
-        for _ in 0..ants {
+        for i in 0..ants {
             let raw = get_u32(&mut buf)?;
             assignments.push(if raw == u32::MAX {
                 Assignment::Idle
-            } else {
+            } else if (raw as usize) < demands.len() {
                 Assignment::Task(raw)
+            } else {
+                // Crafted bytes must fail here, not panic in `restore()`.
+                return Err(corrupt(format!(
+                    "ant {i} is assigned to task {raw} but the scenario has {} tasks",
+                    demands.len()
+                )));
             });
         }
         let mut rng_states = Vec::with_capacity(ants);

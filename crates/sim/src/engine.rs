@@ -49,7 +49,8 @@ use antalloc_rng::{reserved, AntRng, StreamSeeder};
 use crate::arena::ArenaState;
 use crate::config::{ControllerSpec, SimConfig};
 use crate::observer::Observer;
-use crate::population::Population;
+use crate::pool::{DeltaSlot, RoundBarrier};
+use crate::population::{Population, WorkerPart};
 
 /// The sub-seeder every timeline-event draw derives from: a pure
 /// function of the master seed, keyed per firing round, so scripted
@@ -228,6 +229,33 @@ pub struct BankCensus {
     pub working: u64,
 }
 
+/// Steps one pooled participant's chunks for a round: kernels read prior
+/// assignments from `columns[parity]`, write next ones into the other
+/// column, and fold the transitions into `delta`.
+///
+/// Runs between the round's two barrier crossings. The arena read guard
+/// lives only for this call: the coordinator rebuilt the sense rows
+/// before the start crossing and writes them again only after the done
+/// crossing.
+fn step_part(
+    part: &mut WorkerPart<'_>,
+    arena: &Option<parking_lot::RwLock<ArenaState>>,
+    prepared: &PreparedRound,
+    columns: &[TaskColumn; 2],
+    parity: usize,
+    delta: &mut RoundDelta,
+) {
+    let arena_guard = arena.as_ref().map(|l| l.read());
+    let sensed = match &arena_guard {
+        Some(a) => a.sensed(prepared),
+        None => SensedRound::shared(prepared),
+    };
+    let mut writer = ColumnWriter::new(&columns[parity], &columns[parity ^ 1], delta);
+    for (slice, rngs, ids) in part.iter_mut() {
+        slice.step_batch_fused(sensed, rngs, ids, &mut writer);
+    }
+}
+
 /// The synchronous simulation engine.
 ///
 /// One [`SyncEngine::step`] is the paper's round: sub-round 1 exposes
@@ -262,13 +290,9 @@ pub struct SyncEngine {
     /// column. Engine-owned so workers can share it immutably while the
     /// coordinator keeps `&mut` access to the colony.
     next_column: TaskColumn,
-    /// Serial-path round-delta scratch (reused every round).
+    /// Round-delta scratch of the serial path and of the pooled path's
+    /// coordinator chunk (reused every round).
     round_delta: RoundDelta,
-    /// Per-worker round-delta scratch for the pooled path, slot 0 being
-    /// the coordinator's. Reused across rounds and segments; each
-    /// worker locks only its own slot between the round barriers, the
-    /// coordinator merges in its exclusive window.
-    worker_deltas: Vec<parking_lot::Mutex<RoundDelta>>,
     /// Spatial runtime for arena scenarios (`None` for well-mixed).
     /// Behind a lock only for the pooled path's sake: workers read the
     /// frozen sense rows between the round barriers, the coordinator
@@ -300,7 +324,6 @@ impl SyncEngine {
             next_stream: n as u64,
             next_column: TaskColumn::new(n),
             round_delta: RoundDelta::new(k),
-            worker_deltas: Vec::new(),
             arena: config
                 .arena
                 .as_ref()
@@ -345,8 +368,6 @@ impl SyncEngine {
         self.next_stream = n as u64;
         self.next_column.reset(n);
         self.round_delta.reset(k);
-        // worker_deltas are pure scratch: grown on demand, reset at
-        // every segment start, so stale capacity cannot leak state.
         self.arena = config
             .arena
             .as_ref()
@@ -564,8 +585,11 @@ impl SyncEngine {
     /// Falls back to the serial path when the colony is too small for
     /// the per-round synchronization to pay off.
     pub fn run_parallel(&mut self, rounds: u64, threads: usize, observer: &mut impl Observer) {
-        // Two barrier crossings cost ~10µs/round; an ant-step ~30ns.
-        // Below ~8k ants per worker the serial path wins.
+        // Measured on a 2-vCPU VM, 2 threads, Algorithm Ant: two
+        // barrier crossings cost ~18µs/round and an ant-step 12–24ns
+        // (cache-resident colony vs 1M ants). Break-even is at ~1–2k
+        // ants per worker; from ~8k the pooled path wins reliably
+        // (1.2–1.8× at 16k ants, ~1.7× at 1M).
         self.run_parallel_impl(rounds, threads, 8_000, observer)
     }
 
@@ -656,7 +680,7 @@ impl SyncEngine {
         min_ants_per_worker: usize,
         observer: &mut impl Observer,
     ) -> u64 {
-        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::{PoisonError, RwLock};
 
         assert!(threads >= 1);
         let n = self.population.len();
@@ -678,12 +702,6 @@ impl SyncEngine {
 
         self.next_column.resize(n);
         let k = self.colony.num_tasks();
-        // Per-worker delta scratch (slot 0 = coordinator), reused
-        // across rounds and segments.
-        if self.worker_deltas.len() < workers {
-            self.worker_deltas
-                .resize_with(workers, || parking_lot::Mutex::new(RoundDelta::new(k)));
-        }
         // The double buffer, shared immutably with every worker: on a
         // round with parity `p` kernels read prior assignments from
         // `columns[p]` and write next assignments into `columns[p ^ 1]`
@@ -698,14 +716,16 @@ impl SyncEngine {
         ];
         // The coordinator publishes each round's prepared feedback and
         // parity here — one Arc bump per round, no deep clone; workers
-        // only read it between the two barriers of a round.
-        let shared: parking_lot::RwLock<Option<(Arc<PreparedRound>, usize)>> =
-            parking_lot::RwLock::new(None);
+        // only read it between the two barriers of a round. `None` after
+        // a start crossing tells the workers the segment is over.
+        let shared: RwLock<Option<(Arc<PreparedRound>, usize)>> = RwLock::new(None);
+        // One published-delta slot per spawned worker; the coordinator
+        // folds its own chunk into `round_delta` and merges it directly.
+        let slots: Vec<DeltaSlot> = (1..workers).map(|_| DeltaSlot::default()).collect();
         // Participants: (workers − 1) spawned threads + the coordinator,
-        // which steps chunk 0 itself.
-        let start = std::sync::Barrier::new(workers);
-        let done = std::sync::Barrier::new(workers);
-        let stop = AtomicBool::new(false);
+        // which steps chunk 0 itself. Every round crosses the barrier
+        // twice: once to start stepping, once when every chunk is done.
+        let barrier = RoundBarrier::new(workers);
 
         // Partition the banks once for the whole run: each worker owns
         // a disjoint set of (bank chunk, RNG chunk, ant-id chunk)
@@ -720,58 +740,47 @@ impl SyncEngine {
         let post_deficits = &mut self.post_deficits;
         let compiled = &self.compiled;
         let trigger_states = &mut self.trigger_states;
-        let worker_deltas = &self.worker_deltas;
-        let columns_ref = &columns;
+        let own_delta = &mut self.round_delta;
         let arena = &self.arena;
 
-        let completed = crossbeam::thread::scope(|scope| {
+        let (completed, parity) = std::thread::scope(|scope| {
             // The coordinator doubles as the worker for chunk 0, so the
             // run uses exactly `workers` OS threads (no oversubscription
             // from a dedicated coordinator).
             let mut parts = parts.into_iter();
             // audit:allow(panic-path): the partitioner always emits >= 1 chunk for a non-empty colony (checked above).
             let mut own_part = parts.next().expect("at least one chunk");
-            for (w, part) in parts.enumerate() {
-                let slot = &worker_deltas[w + 1];
-                let shared = &shared;
-                let start = &start;
-                let done = &done;
-                let stop = &stop;
-                let columns = columns_ref;
-                let mut part = part;
-                scope.spawn(move |_| loop {
-                    start.wait();
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let (prepared, parity) = {
-                        let guard = shared.read();
-                        // audit:allow(panic-path): the coordinator publishes the prepared round before releasing the start barrier.
-                        let (prepared, parity) = guard.as_ref().expect("round prepared");
-                        (Arc::clone(prepared), *parity)
-                    };
-                    {
-                        // Only this worker touches its slot between the
-                        // barriers, so the lock is uncontended; it must
-                        // drop before `done` so the coordinator's merge
-                        // can take it. Same for the arena read guard:
-                        // the coordinator rebuilt the sense rows before
-                        // releasing `start` and next writes only after
-                        // `done`.
-                        let mut delta = slot.lock();
-                        delta.reset(k);
-                        let arena_guard = arena.as_ref().map(|l| l.read());
-                        let sensed = match &arena_guard {
-                            Some(a) => a.sensed(&prepared),
-                            None => SensedRound::shared(&prepared),
+            let _unwind = barrier.break_on_unwind();
+            for (slot, mut part) in slots.iter().zip(parts) {
+                let (shared, barrier, columns) = (&shared, &barrier, &columns);
+                scope.spawn(move || {
+                    let _unwind = barrier.break_on_unwind();
+                    // Allocated here, on the worker's own thread, and
+                    // only ever swapped with the worker's slot: its hot
+                    // counters and buffers never share a cache line with
+                    // another participant's.
+                    let mut delta = RoundDelta::new(k);
+                    // A broken barrier means another participant
+                    // panicked: return, and the scope re-raises it.
+                    while barrier.wait().is_ok() {
+                        let published = shared
+                            .read()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .clone();
+                        let Some((prepared, parity)) = published else {
+                            return;
                         };
-                        let mut writer =
-                            ColumnWriter::new(&columns[parity], &columns[parity ^ 1], &mut delta);
-                        for (slice, rngs, ids) in part.iter_mut() {
-                            slice.step_batch_fused(sensed, rngs, ids, &mut writer);
+                        delta.reset(k);
+                        step_part(&mut part, arena, &prepared, columns, parity, &mut delta);
+                        // Publish once per round. The swap hands back
+                        // the buffers published last round (empty before
+                        // the first), so every buffer this worker ever
+                        // grows is allocated on this thread.
+                        slot.publish(&mut delta);
+                        if barrier.wait().is_err() {
+                            return;
                         }
                     }
-                    done.wait();
                 });
             }
 
@@ -789,35 +798,27 @@ impl SyncEngine {
                 if let Some(l) = arena {
                     l.write().build_round(&prepared);
                 }
-                *shared.write() = Some((Arc::clone(&prepared), parity));
-                start.wait();
-                // Step the coordinator's own chunks alongside the workers.
-                {
-                    let mut delta = worker_deltas[0].lock();
-                    delta.reset(k);
-                    let arena_guard = arena.as_ref().map(|l| l.read());
-                    let sensed = match &arena_guard {
-                        Some(a) => a.sensed(&prepared),
-                        None => SensedRound::shared(&prepared),
-                    };
-                    let mut writer = ColumnWriter::new(
-                        &columns_ref[parity],
-                        &columns_ref[parity ^ 1],
-                        &mut delta,
-                    );
-                    for (slice, rngs, ids) in own_part.iter_mut() {
-                        slice.step_batch_fused(sensed, rngs, ids, &mut writer);
-                    }
+                *shared.write().unwrap_or_else(PoisonError::into_inner) =
+                    Some((Arc::clone(&prepared), parity));
+                if barrier.wait().is_err() {
+                    break;
                 }
-                done.wait();
-                // Exclusive window: merge the per-worker deltas. All
-                // delta fields are commutative (sums and disjoint XOR
-                // flips), so merge order is immaterial. Flipping the
-                // parity afterwards IS the apply pass: the column the
-                // workers just filled becomes the authoritative
-                // previous column for the next round — no data moves.
-                let mut switches = 0u64;
-                for slot in &worker_deltas[..workers] {
+                // Step the coordinator's own chunks alongside the workers.
+                own_delta.reset(k);
+                step_part(&mut own_part, arena, &prepared, &columns, parity, own_delta);
+                if barrier.wait().is_err() {
+                    break;
+                }
+                // Exclusive window: merge the coordinator's delta and
+                // every published one. All delta fields are commutative
+                // (sums and disjoint XOR flips), so merge order is
+                // immaterial. Flipping the parity afterwards IS the
+                // apply pass: the column the workers just filled becomes
+                // the authoritative previous column for the next round —
+                // no data moves.
+                let mut switches = own_delta.switches();
+                colony.apply_round_delta(own_delta);
+                for slot in &slots {
                     let delta = slot.lock();
                     switches += delta.switches();
                     colony.apply_round_delta(&delta);
@@ -827,7 +828,7 @@ impl SyncEngine {
                 // just-flipped authoritative column, exactly where the
                 // serial path runs it after `commit_round`.
                 if let Some(l) = arena {
-                    l.write().wander(*round, &columns_ref[parity]);
+                    l.write().wander(*round, &columns[parity]);
                 }
                 colony.deficits_into(post_deficits);
                 let record = RoundRecord {
@@ -861,13 +862,13 @@ impl SyncEngine {
                     }
                 }
             }
-            stop.store(true, Ordering::Release);
-            start.wait();
+            // Stop the workers at their next start crossing. On a broken
+            // barrier they are gone already, and the scope re-raises the
+            // worker's panic on join.
+            *shared.write().unwrap_or_else(PoisonError::into_inner) = None;
+            let _ = barrier.wait();
             (completed, parity)
-        })
-        // audit:allow(panic-path): propagating a worker panic is the only sane response — the round state is torn.
-        .expect("worker thread panicked");
-        let (completed, parity) = completed;
+        });
         // Return the loaned columns: the parity-current one becomes the
         // colony's authoritative column again (O(1) move — the parity
         // flips already "applied" every round), the other becomes the
@@ -1098,6 +1099,21 @@ mod tests {
         assert_eq!(serial.colony().loads(), par4.colony().loads());
         assert_eq!(serial.colony().assignments(), par2.colony().assignments());
         assert_eq!(serial.colony().assignments(), par4.colony().assignments());
+    }
+
+    #[test]
+    fn a_panic_inside_a_pooled_segment_reaches_the_caller() {
+        // The observer runs on the coordinator between barrier
+        // crossings; its panic must drain the parked workers and
+        // unwind out of `run_parallel`, not leave the scope waiting.
+        let mut engine = config().build();
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut obs = crate::observer::FnObserver::new(|r: &RoundRecord<'_>| {
+                assert!(r.round < 5, "observer fails at round {}", r.round);
+            });
+            engine.run_parallel_forced(20, 3, &mut obs);
+        }));
+        assert!(run.is_err());
     }
 
     #[test]

@@ -52,6 +52,7 @@ mod checkpoint;
 mod config;
 mod engine;
 mod observer;
+mod pool;
 mod population;
 mod recorder;
 pub mod scenario;

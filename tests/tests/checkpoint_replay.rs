@@ -200,3 +200,76 @@ fn correlated_noise_replays_exactly() {
         .expect("valid scenario");
     replay_equivalence(cfg, 400, 300);
 }
+
+/// Overwrites the first ant's raw assignment in an encoded checkpoint.
+/// The assignment section is the ant count (u64) followed by one u32
+/// per ant; it is located by the decoded checkpoint's own assignments,
+/// so the patch works on every format version's layout.
+fn with_first_assignment(bytes: &[u8], raw: u32) -> Vec<u8> {
+    let colony = Checkpoint::from_bytes(bytes)
+        .expect("unpatched bytes decode")
+        .restore()
+        .colony()
+        .clone();
+    let mut section = (colony.num_ants() as u64).to_le_bytes().to_vec();
+    for a in colony.assignments() {
+        section.extend_from_slice(&a.to_raw().to_le_bytes());
+    }
+    let at = bytes
+        .windows(section.len())
+        .position(|w| w == section.as_slice())
+        .expect("assignment section found");
+    let mut out = bytes.to_vec();
+    out[at + 8..at + 12].copy_from_slice(&raw.to_le_bytes());
+    out
+}
+
+#[test]
+fn out_of_range_task_indices_are_corrupt_on_every_version() {
+    // Regression: any raw assignment below the idle sentinel used to
+    // decode, and a task index >= k then panicked in `restore()`.
+    let fresh = SimConfig::builder(10, vec![3, 4])
+        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+        .controller(ControllerSpec::Ant(AntParams::default()))
+        .seed(11)
+        .build()
+        .expect("valid scenario");
+    let current = Checkpoint::capture(&fresh.build()).unwrap().to_bytes();
+    let mut cases = vec![("current format, n = 10, k = 2".to_string(), current, 7)];
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    for name in [
+        "checkpoint_v2_ant.ckpt",
+        "checkpoint_v2_mix.ckpt",
+        "checkpoint_v3_timeline.ckpt",
+        "checkpoint_v4_trigger.ckpt",
+        "checkpoint_v5_sigmoid.ckpt",
+        "checkpoint_v6_adversarial.ckpt",
+    ] {
+        let bytes = std::fs::read(dir.join(name)).expect("fixture readable");
+        // The smallest out-of-range index: k itself.
+        let k = Checkpoint::from_bytes(&bytes)
+            .unwrap()
+            .config()
+            .demands
+            .len();
+        cases.push((name.to_string(), bytes, u32::try_from(k).unwrap()));
+    }
+    for (name, bytes, task) in cases {
+        let bad = with_first_assignment(&bytes, task);
+        match Checkpoint::from_bytes(&bad) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("task"), "{name}: {msg}"),
+            other => panic!("{name}: task {task} must be rejected as corrupt, got {other:?}"),
+        }
+        // The last valid index still decodes (the patch is targeted).
+        let k = Checkpoint::from_bytes(&bytes)
+            .unwrap()
+            .config()
+            .demands
+            .len();
+        let last = u32::try_from(k - 1).unwrap();
+        assert!(
+            Checkpoint::from_bytes(&with_first_assignment(&bytes, last)).is_ok(),
+            "{name}"
+        );
+    }
+}

@@ -72,6 +72,72 @@ fn precise_sigmoid_parallel_determinism() {
     assert_eq!(serial.colony().assignments(), par.colony().assignments());
 }
 
+/// Per-round trace of one run: (round, regret, switches, idle, loads).
+type Trace = Vec<(u64, u64, u64, u64, Vec<u32>)>;
+
+/// The pooled path's published deltas under heavy idle churn. Trivial
+/// and ExactGreedy started all-idle move a large share of the colony
+/// between idle and working every round, and a kill and a spawn resize
+/// it mid-run, so every worker's own `idle_flips` buffer grows, is
+/// published and is merged every round. The per-round trace and the
+/// final assignments must match the serial path at every thread count.
+#[test]
+fn pooled_idle_churn_trace_matches_serial() {
+    use antalloc_core::ExactGreedyParams;
+    use antalloc_env::{Event, InitialConfig, Timeline};
+    use antalloc_sim::{FnObserver, RoundRecord};
+
+    let n = 2_000usize;
+    let mut cfg = SimConfig::builder(n, vec![300, 250, 200])
+        .noise(NoiseModel::Sigmoid { lambda: 1.5 })
+        .controller(ControllerSpec::Mix(vec![
+            (1.0, ControllerSpec::Trivial),
+            (
+                1.0,
+                ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
+            ),
+        ]))
+        .seed(21)
+        .initial(InitialConfig::AllIdle)
+        .build()
+        .expect("valid scenario");
+    cfg.timeline = Timeline::new()
+        .at(15, Event::Kill { count: 300 })
+        .at(30, Event::Spawn { count: 500 });
+    let run = |threads: Option<usize>| {
+        let mut trace = Trace::new();
+        let mut engine = cfg.build();
+        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
+            trace.push((
+                r.round,
+                r.instant_regret(),
+                r.switches,
+                r.idle,
+                r.loads.to_vec(),
+            ));
+        });
+        match threads {
+            None => engine.run(60, &mut obs),
+            Some(t) => engine.run_parallel_forced(60, t, &mut obs),
+        }
+        assert!(engine.colony().recount_consistent());
+        (trace, engine.colony().assignments())
+    };
+    let serial = run(None);
+    // The case is not vacuous: the idle count swings by hundreds of
+    // ants within a single round.
+    let swing = serial
+        .0
+        .windows(2)
+        .map(|w| w[0].3.abs_diff(w[1].3))
+        .max()
+        .unwrap();
+    assert!(swing >= (n / 10) as u64, "max idle swing {swing}");
+    for threads in [2usize, 3, 4] {
+        assert_eq!(run(Some(threads)), serial, "threads = {threads}");
+    }
+}
+
 /// Property coverage for the fused-apply round loop: the parallel
 /// path's double-buffered column writes and per-worker delta merges
 /// must be invisible — bit-identical to serial — at every thread
