@@ -142,7 +142,7 @@ pub fn available_parallelism() -> usize {
 /// Worker threads for the parallel engine: the host's available
 /// parallelism, capped at 8. Every worker owns its round accumulators,
 /// so two workers pay off on a 2-thread host too; the engine still
-/// steps colonies too small to keep the workers busy serially.
+/// steps colonies too small to keep the workers busy on fewer threads.
 pub fn worker_threads() -> usize {
     available_parallelism().min(8)
 }

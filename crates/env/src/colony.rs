@@ -9,9 +9,11 @@ use crate::demand::DemandVector;
 /// Assignments live in a packed u32 [`TaskColumn`] (idle =
 /// [`Assignment::RAW_IDLE`]) shadowed by a packed idle bitmask — the
 /// *current* half of the engine's double buffer. Step kernels write the
-/// engine-owned *next* column directly; [`ColonyState::commit_round`]
-/// swaps the columns in O(1) and folds in the round's commutative
-/// [`RoundDelta`]. Loads are maintained incrementally — applying one
+/// engine-owned *next* column directly; the engine lends the current
+/// column out for a segment ([`ColonyState::take_column`]), folds in
+/// each round's commutative [`RoundDelta`] and flips buffer parity,
+/// while [`ColonyState::commit_round`] does a single round in place
+/// (an O(1) column swap plus the delta). Loads are maintained incrementally — applying one
 /// ant's decision is O(1) — and a full recount is available as a
 /// (debug-asserted) consistency check.
 #[derive(Clone, Debug)]
@@ -138,7 +140,7 @@ impl ColonyState {
     }
 
     /// The current packed assignment column (the step kernels' *prev*
-    /// source in the serial fused path).
+    /// source for a round committed with [`ColonyState::commit_round`]).
     #[inline]
     pub fn task_column(&self) -> &TaskColumn {
         &self.tasks
@@ -205,7 +207,8 @@ impl ColonyState {
         self.tasks.store(i as u32, next.to_raw());
     }
 
-    /// Commits a fully-written next column (the serial round path):
+    /// Commits a fully-written next column (one round outside a
+    /// segment, e.g. a round assembled from public pieces):
     /// swaps it with the current column in O(1), then folds in the
     /// round's delta. `next` receives the previous column, becoming the
     /// scratch for the following round.

@@ -29,14 +29,17 @@
 //! kernels that write every ant's next assignment straight into the
 //! engine-owned next-state [`antalloc_env::TaskColumn`] (accumulating a
 //! commutative [`antalloc_env::RoundDelta`]), sub-round 2 is an O(1)
-//! column swap plus an O(k) delta application — there is no separate
-//! apply sweep. *Write* order is therefore immaterial: column slots are
-//! disjoint per ant, load/idle transitions commute, and the switch
-//! count is a sum. Consumption order of randomness is what matters, and
-//! that is per-ant by construction. `tests/determinism.rs` and the bank
-//! property tests in `tests/banks.rs` hold this contract down.
+//! buffer-parity flip plus an O(k) delta application — there is no
+//! separate apply sweep. *Write* order is therefore immaterial: column
+//! slots are disjoint per ant, load/idle transitions commute, and the
+//! switch count is a sum. Consumption order of randomness is what
+//! matters, and that is per-ant by construction. Serial and
+//! multi-threaded stepping share one round loop; serial is the pool
+//! with a single participant. `tests/determinism.rs`,
+//! `tests/golden_traces.rs` and the bank property tests in
+//! `tests/banks.rs` hold this contract down.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use antalloc_core::AnyController;
 use antalloc_env::{
@@ -52,18 +55,11 @@ use crate::observer::Observer;
 use crate::pool::{DeltaSlot, RoundBarrier};
 use crate::population::{Population, WorkerPart};
 
-/// The sub-seeder every timeline-event draw derives from: a pure
-/// function of the master seed, keyed per firing round, so scripted
-/// shocks consume identical randomness on every stepping path.
-pub(crate) fn event_seeder(seed: u64) -> StreamSeeder {
-    StreamSeeder::new(StreamSeeder::new(seed).stream(reserved::EVENT).next_u64())
-}
-
 /// Applies a colony-level perturbation, keeping controllers, RNG
 /// streams and the environment mutually consistent. Shared by
-/// [`SyncEngine::perturb`], the timeline event executor, and the
-/// sequential engine.
-pub(crate) fn apply_perturbation(
+/// [`SyncEngine::perturb`] and the timeline event executor of both
+/// engines.
+fn apply_perturbation(
     p: &Perturbation,
     colony: &mut ColonyState,
     population: &mut Population,
@@ -116,26 +112,10 @@ pub(crate) fn apply_perturbation(
     debug_assert!(arena.is_none_or(|a| a.len() == colony.num_ants()));
 }
 
-/// The end-of-round summary timeline triggers are evaluated over,
-/// shared by both engines so triggered scenarios are model-portable.
-pub(crate) fn colony_view<'a>(
-    round: u64,
-    post_deficits: &'a [i64],
-    colony: &ColonyState,
-) -> ColonyView<'a> {
-    ColonyView {
-        round,
-        regret: post_deficits.iter().map(|d| d.unsigned_abs()).sum(),
-        population: colony.num_ants(),
-        idle: colony.idle_count(),
-        deficits: post_deficits,
-    }
-}
-
 /// Applies one timeline event. Population shocks route through
 /// [`apply_perturbation`]; demand and noise rewrites are pure.
 #[allow(clippy::too_many_arguments)] // engine-internal plumbing
-pub(crate) fn apply_event(
+fn apply_event(
     event: &Event,
     colony: &mut ColonyState,
     population: &mut Population,
@@ -158,6 +138,110 @@ pub(crate) fn apply_event(
                 .expect("non-pure events are perturbations");
             apply_perturbation(&p, colony, population, arena, rng, seeder, next_stream);
         }
+    }
+}
+
+/// A run's timeline and how far it has got: everything both engines
+/// need to fire events at the start of a round and to watch triggers at
+/// its end.
+pub(crate) struct TimelineRun {
+    /// The config's timeline with random generators expanded into
+    /// concrete one-shot events (identical to `config.timeline` when no
+    /// generators are declared). All stepping reads this one.
+    compiled: Timeline,
+    /// One-shot events consumed so far (monotone cursor over the
+    /// compiled stream).
+    cursor: usize,
+    /// Runtime state of every trigger, in timeline order.
+    trigger_states: Vec<TriggerState>,
+    /// The sub-seeder every event draw derives from: a pure function of
+    /// the master seed, keyed per firing round, so scripted shocks
+    /// consume identical randomness on every stepping path.
+    seeder: StreamSeeder,
+}
+
+impl TimelineRun {
+    /// The run's start. The compiled stream is a pure function of
+    /// `(config, seed)`: magnitudes scale off the *initial* n and
+    /// demands, never a shrunk colony's.
+    pub(crate) fn new(config: &SimConfig) -> Self {
+        let compiled = config
+            .timeline
+            .compile(config.seed, config.n, &config.demands);
+        Self {
+            trigger_states: compiled.initial_trigger_states(),
+            compiled,
+            cursor: 0,
+            seeder: StreamSeeder::new(
+                StreamSeeder::new(config.seed)
+                    .stream(reserved::EVENT)
+                    .next_u64(),
+            ),
+        }
+    }
+
+    /// The runtime state of every trigger, in timeline order.
+    pub(crate) fn trigger_states(&self) -> &[TriggerState] {
+        &self.trigger_states
+    }
+
+    /// Fires every event due at `round`: one-shots past the cursor, then
+    /// cycles, then the triggers armed at the end of the previous round.
+    /// All events of one round share a stream derived purely from
+    /// `(master seed, round)`, so firing is stepping-path independent.
+    #[allow(clippy::too_many_arguments)] // engine-internal plumbing
+    pub(crate) fn fire(
+        &mut self,
+        round: u64,
+        colony: &mut ColonyState,
+        population: &mut Population,
+        mut arena: Option<&mut ArenaState>,
+        noise: &mut NoiseModel,
+        seeder: &StreamSeeder,
+        next_stream: &mut u64,
+    ) {
+        let mut fired = Vec::new();
+        self.compiled.fire_into(round, &mut self.cursor, &mut fired);
+        self.compiled
+            .fire_triggers_into(round, &mut self.trigger_states, &mut fired);
+        if fired.is_empty() {
+            return;
+        }
+        let mut rng = self.seeder.stream(round);
+        for event in &fired {
+            apply_event(
+                event,
+                colony,
+                population,
+                arena.as_deref_mut(),
+                noise,
+                &mut rng,
+                seeder,
+                next_stream,
+            );
+        }
+    }
+
+    /// Feeds the end-of-round summary to every trigger and returns
+    /// whether one armed (its event fires at the start of the next
+    /// round). `population` is passed in because a pooled round has the
+    /// colony's task column on loan, so `colony.num_ants()` reads 0.
+    pub(crate) fn observe(
+        &mut self,
+        round: u64,
+        post_deficits: &[i64],
+        population: usize,
+        colony: &ColonyState,
+    ) -> bool {
+        let view = ColonyView {
+            round,
+            regret: post_deficits.iter().map(|d| d.unsigned_abs()).sum(),
+            population,
+            idle: colony.idle_count(),
+            deficits: post_deficits,
+        };
+        self.compiled
+            .observe_triggers(&mut self.trigger_states, &view)
     }
 }
 
@@ -229,6 +313,13 @@ pub struct BankCensus {
     pub working: u64,
 }
 
+/// The arena behind its lock, for a caller with exclusive access.
+fn arena_mut(arena: &mut Option<RwLock<ArenaState>>) -> Option<&mut ArenaState> {
+    arena
+        .as_mut()
+        .map(|l| l.get_mut().unwrap_or_else(PoisonError::into_inner))
+}
+
 /// Steps one pooled participant's chunks for a round: kernels read prior
 /// assignments from `columns[parity]`, write next ones into the other
 /// column, and fold the transitions into `delta`.
@@ -239,13 +330,13 @@ pub struct BankCensus {
 /// crossing.
 fn step_part(
     part: &mut WorkerPart<'_>,
-    arena: &Option<parking_lot::RwLock<ArenaState>>,
+    arena: Option<&RwLock<ArenaState>>,
     prepared: &PreparedRound,
     columns: &[TaskColumn; 2],
     parity: usize,
     delta: &mut RoundDelta,
 ) {
-    let arena_guard = arena.as_ref().map(|l| l.read());
+    let arena_guard = arena.map(|l| l.read().unwrap_or_else(PoisonError::into_inner));
     let sensed = match &arena_guard {
         Some(a) => a.sensed(prepared),
         None => SensedRound::shared(prepared),
@@ -263,22 +354,14 @@ fn step_part(
 /// feedback; sub-round 2 applies all decisions simultaneously.
 pub struct SyncEngine {
     config: SimConfig,
-    /// The config's timeline with random generators expanded into
-    /// concrete one-shot events (identical to `config.timeline` when no
-    /// generators are declared). All stepping reads this one.
-    compiled: Timeline,
+    /// The compiled timeline, its cursor and its trigger states.
+    timeline: TimelineRun,
     colony: ColonyState,
     population: Population,
     noise: NoiseModel,
     seeder: StreamSeeder,
-    event_seeder: StreamSeeder,
     init_rng: AntRng,
     round: u64,
-    /// One-shot timeline events consumed so far (monotone cursor over
-    /// the compiled stream).
-    cursor: usize,
-    /// Runtime state of every timeline trigger.
-    trigger_states: Vec<TriggerState>,
     /// Deficits frozen at the end of the previous round (sensing input).
     pre_deficits: Vec<i64>,
     /// Deficits after this round's decisions (observation output).
@@ -286,19 +369,19 @@ pub struct SyncEngine {
     /// Stream ids handed out so far (spawned ants get fresh streams).
     next_stream: u64,
     /// The *next* half of the double-buffered assignment column: step
-    /// kernels write it, committing swaps it with the colony's current
-    /// column. Engine-owned so workers can share it immutably while the
+    /// kernels write it, and the round's parity flip makes it current.
+    /// Engine-owned so workers can share it immutably while the
     /// coordinator keeps `&mut` access to the colony.
     next_column: TaskColumn,
-    /// Round-delta scratch of the serial path and of the pooled path's
-    /// coordinator chunk (reused every round).
+    /// Round-delta scratch of the coordinator's own chunk (reused every
+    /// round).
     round_delta: RoundDelta,
     /// Spatial runtime for arena scenarios (`None` for well-mixed).
-    /// Behind a lock only for the pooled path's sake: workers read the
-    /// frozen sense rows between the round barriers, the coordinator
-    /// writes (sense-row rebuild, wander pass) in its exclusive
-    /// windows — the lock is never contended.
-    arena: Option<parking_lot::RwLock<ArenaState>>,
+    /// Behind a lock only for the pool's sake: workers read the frozen
+    /// sense rows between the round barriers, the coordinator writes
+    /// (sense-row rebuild, wander pass) in its exclusive windows — the
+    /// lock is never contended.
+    arena: Option<RwLock<ArenaState>>,
 }
 
 impl SyncEngine {
@@ -306,19 +389,14 @@ impl SyncEngine {
         let n = config.n;
         let k = demands.num_tasks();
         let seeder = StreamSeeder::new(config.seed);
-        let population = Population::build(&config.controller, config.seed, k, n);
-        let compiled = config.timeline.compile(config.seed, n, demands.as_slice());
-        let trigger_states = compiled.initial_trigger_states();
         let mut engine = Self {
+            timeline: TimelineRun::new(&config),
             colony: ColonyState::new(n, demands),
-            population,
+            population: Population::build(&config.controller, config.seed, k, n),
             noise: config.noise.clone(),
             seeder,
-            event_seeder: event_seeder(config.seed),
             init_rng: seeder.stream(reserved::INIT),
             round: 0,
-            cursor: 0,
-            trigger_states,
             pre_deficits: vec![0; k],
             post_deficits: vec![0; k],
             next_stream: n as u64,
@@ -327,8 +405,7 @@ impl SyncEngine {
             arena: config
                 .arena
                 .as_ref()
-                .map(|a| parking_lot::RwLock::new(ArenaState::new(a, n, config.seed))),
-            compiled,
+                .map(|a| RwLock::new(ArenaState::new(a, n, config.seed))),
             config,
         };
         let initial = engine.config.initial.clone();
@@ -350,17 +427,14 @@ impl SyncEngine {
         let n = config.n;
         let k = config.demands.len();
         self.config.clone_from(config);
+        self.timeline = TimelineRun::new(config);
         self.colony.rebuild_in(n, &config.demands);
         self.population
             .rebuild_in(&config.controller, config.seed, k, n);
         self.noise.clone_from(&config.noise);
         self.seeder = StreamSeeder::new(config.seed);
-        self.event_seeder = event_seeder(config.seed);
         self.init_rng = self.seeder.stream(reserved::INIT);
         self.round = 0;
-        self.cursor = 0;
-        self.compiled = config.timeline.compile(config.seed, n, &config.demands);
-        self.trigger_states = self.compiled.initial_trigger_states();
         self.pre_deficits.clear();
         self.pre_deficits.resize(k, 0);
         self.post_deficits.clear();
@@ -371,7 +445,7 @@ impl SyncEngine {
         self.arena = config
             .arena
             .as_ref()
-            .map(|a| parking_lot::RwLock::new(ArenaState::new(a, n, config.seed)));
+            .map(|a| RwLock::new(ArenaState::new(a, n, config.seed)));
         let initial = self.config.initial.clone();
         self.set_initial(&initial);
     }
@@ -381,8 +455,8 @@ impl SyncEngine {
     pub fn set_initial(&mut self, initial: &InitialConfig) {
         initial.apply(&mut self.colony, &mut self.init_rng);
         self.population.reset_to_colony(&self.colony);
-        if let Some(arena) = &mut self.arena {
-            arena.get_mut().sync_to_colony(&self.colony);
+        if let Some(arena) = arena_mut(&mut self.arena) {
+            arena.sync_to_colony(&self.colony);
         }
     }
 
@@ -415,7 +489,7 @@ impl SyncEngine {
     /// (empty for trigger-free scenarios). Benches use this to report
     /// how many conditional shocks a run actually absorbed.
     pub fn trigger_states(&self) -> &[TriggerState] {
-        &self.trigger_states
+        self.timeline.trigger_states()
     }
 
     /// Per-bank population and load census: which controller kind holds
@@ -447,112 +521,15 @@ impl SyncEngine {
         self.population.reference_controllers()
     }
 
-    /// Fires every timeline event scheduled for the current round:
-    /// one-shots past the cursor, then cycle generators, then triggers
-    /// armed at the end of the previous round. All events of one round
-    /// share a generator derived purely from `(master seed, round)`, so
-    /// firing is stepping-path independent.
-    fn fire_events(&mut self) {
-        let mut fired = Vec::new();
-        self.compiled
-            .fire_into(self.round, &mut self.cursor, &mut fired);
-        self.compiled
-            .fire_triggers_into(self.round, &mut self.trigger_states, &mut fired);
-        if fired.is_empty() {
-            return;
-        }
-        let mut rng = self.event_seeder.stream(self.round);
-        let mut arena = self.arena.as_mut().map(|l| l.get_mut());
-        for event in &fired {
-            apply_event(
-                event,
-                &mut self.colony,
-                &mut self.population,
-                arena.as_deref_mut(),
-                &mut self.noise,
-                &mut rng,
-                &self.seeder,
-                &mut self.next_stream,
-            );
-        }
-    }
-
-    fn begin_round(&mut self) -> PreparedRound {
-        self.round += 1;
-        self.fire_events();
-        self.colony.deficits_into(&mut self.pre_deficits);
-        self.noise.prepare(
-            self.round,
-            &self.pre_deficits,
-            self.colony.demands().as_slice(),
-        )
-    }
-
-    fn finish_round(&mut self, switches: u64, observer: &mut impl Observer) {
-        self.colony.deficits_into(&mut self.post_deficits);
-        let record = RoundRecord {
-            round: self.round,
-            deficits: &self.post_deficits,
-            demands: self.colony.demands().as_slice(),
-            loads: self.colony.loads(),
-            idle: self.colony.idle_count(),
-            switches,
-        };
-        observer.on_round(&record);
-        if self.compiled.has_triggers() {
-            let view = colony_view(self.round, &self.post_deficits, &self.colony);
-            self.compiled
-                .observe_triggers(&mut self.trigger_states, &view);
-        }
-    }
-
-    /// Whether a trigger armed at the end of the last round (its event
-    /// fires at the start of the next one — which must step serially).
-    fn trigger_pending(&self) -> bool {
-        self.trigger_states.iter().any(|s| s.pending)
-    }
-
-    /// Runs one synchronous round on the current thread: kernels write
-    /// the next-state column fused, then the round commits as an O(1)
-    /// column swap plus the accumulated delta.
+    /// Runs one synchronous round on the calling thread: the pooled
+    /// round loop with a single participant.
     pub fn step(&mut self, observer: &mut impl Observer) {
-        let prepared = self.begin_round();
-        // Events fired in begin_round may have resized the population.
-        self.next_column.resize(self.population.len());
-        self.round_delta.reset(self.colony.num_tasks());
-        if let Some(arena) = &mut self.arena {
-            arena.get_mut().build_round(&prepared);
-        }
-        // The read guard is uncontended here (serial path); it exists
-        // so the pooled path can share the identical sensing code.
-        let arena_guard = self.arena.as_ref().map(|l| l.read());
-        let sensed = match &arena_guard {
-            Some(a) => a.sensed(&prepared),
-            None => SensedRound::shared(&prepared),
-        };
-        self.population.step_round(
-            sensed,
-            self.colony.task_column(),
-            &self.next_column,
-            &mut self.round_delta,
-        );
-        drop(arena_guard);
-        let switches = self.round_delta.switches();
-        self.colony
-            .commit_round(&mut self.next_column, &self.round_delta);
-        if let Some(arena) = &mut self.arena {
-            arena
-                .get_mut()
-                .wander(self.round, self.colony.task_column());
-        }
-        self.finish_round(switches, observer);
+        self.run(1, observer);
     }
 
-    /// Runs `rounds` rounds serially.
+    /// Runs `rounds` rounds on the calling thread.
     pub fn run(&mut self, rounds: u64, observer: &mut impl Observer) {
-        for _ in 0..rounds {
-            self.step(observer);
-        }
+        self.run_segments(rounds, 1, 1, observer);
     }
 
     /// Runs one round with ants partitioned across worker threads.
@@ -564,39 +541,41 @@ impl SyncEngine {
         self.run_parallel(1, threads, observer);
     }
 
-    /// Runs `rounds` rounds with ants partitioned across `threads`
-    /// worker threads, bit-identical to the serial path.
+    /// Runs `rounds` rounds with ants partitioned across up to `threads`
+    /// worker threads, bit-identical to [`SyncEngine::run`]. `threads`
+    /// of 0 or 1 runs on the calling thread, exactly as `run` does.
     ///
-    /// Workers are spawned **once per event-free segment** (once per
-    /// call for a static timeline) and synchronize with the coordinator
-    /// through two [`std::sync::Barrier`] crossings per round: the
-    /// coordinator prepares the round's feedback state, workers step
-    /// their fixed bank chunks — each writing its ants' next
-    /// assignments straight into a cache-line-sharded slice of the
-    /// shared next-state column while folding switch/load/idle changes
-    /// into a worker-local delta — and the coordinator merges the
-    /// per-worker deltas in its exclusive window (no global re-read
-    /// sweep). Rounds at which a timeline event fires step serially
-    /// (events may resize the population under the workers' partition);
-    /// determinism is unconditional either way, because every ant
-    /// consumes only its own RNG stream and events only reserved
-    /// per-round streams.
+    /// Every round, serial or pooled, goes through one loop. The run
+    /// splits into segments; workers are spawned once per segment (once
+    /// per call for a static timeline), and each round crosses the
+    /// pool's barrier twice: the coordinator prepares the round's
+    /// feedback state, every participant steps its fixed bank chunks —
+    /// writing its ants' next assignments straight into a
+    /// cache-line-sharded slice of the shared next-state column while
+    /// folding switch/load/idle changes into a delta of its own — and
+    /// the coordinator merges the deltas in its exclusive window (no
+    /// global re-read sweep). A segment fires the events due on its
+    /// first round before it partitions the colony, since events may
+    /// resize the population, and it ends before the next scheduled
+    /// firing or after a round at which a trigger arms. Determinism is
+    /// unconditional, because every ant consumes only its own RNG stream
+    /// and events only reserved per-round streams.
     ///
-    /// Falls back to the serial path when the colony is too small for
-    /// the per-round synchronization to pay off.
+    /// A colony too small for the per-round synchronization to pay off
+    /// runs with fewer workers, down to the calling thread alone.
     pub fn run_parallel(&mut self, rounds: u64, threads: usize, observer: &mut impl Observer) {
         // Measured on a 2-vCPU VM, 2 threads, Algorithm Ant: two
         // barrier crossings cost ~18µs/round and an ant-step 12–24ns
         // (cache-resident colony vs 1M ants). Break-even is at ~1–2k
         // ants per worker; from ~8k the pooled path wins reliably
         // (1.2–1.8× at 16k ants, ~1.7× at 1M).
-        self.run_parallel_impl(rounds, threads, 8_000, observer)
+        self.run_segments(rounds, threads, 8_000, observer)
     }
 
-    /// Like [`SyncEngine::run_parallel`] but always takes the pooled
-    /// path, however small the colony. Exists so tests can exercise the
-    /// worker machinery at sizes where production code would fall back
-    /// to serial; not useful for performance.
+    /// Like [`SyncEngine::run_parallel`] but sizes the pool by `threads`
+    /// alone, however small the colony. Exists so tests can exercise the
+    /// worker machinery at sizes where production code would run on
+    /// one thread; not useful for performance.
     #[doc(hidden)]
     pub fn run_parallel_forced(
         &mut self,
@@ -604,23 +583,11 @@ impl SyncEngine {
         threads: usize,
         observer: &mut impl Observer,
     ) {
-        self.run_parallel_impl(rounds, threads, 1, observer)
+        self.run_segments(rounds, threads, 1, observer)
     }
 
-    /// The segmenting wrapper around the pooled path: timeline events
-    /// may resize the population or scramble controllers, which would
-    /// invalidate the per-run bank partition workers hold — so the run
-    /// splits into event-free parallel segments, and each event round
-    /// steps serially (bit-identical to the pooled path by the engine's
-    /// contract). Timelines are sparse, so the serial rounds are noise.
-    ///
-    /// Trigger firing rounds are not known from the config alone, so a
-    /// segment also ends the moment a trigger *arms* (its event fires
-    /// at the start of the next round): [`Self::run_parallel_segment`]
-    /// evaluates triggers in the coordinator's exclusive end-of-round
-    /// window and returns early, and the firing round steps serially
-    /// here — the identical firing path the serial engine takes.
-    fn run_parallel_impl(
+    /// Runs `rounds` rounds as consecutive [`Self::run_segment`]s.
+    fn run_segments(
         &mut self,
         rounds: u64,
         threads: usize,
@@ -629,72 +596,49 @@ impl SyncEngine {
     ) {
         let mut remaining = rounds;
         while remaining > 0 {
-            if self.trigger_pending() {
-                // A triggered event fires this round; step it serially
-                // (it may resize the population under a partition).
-                self.step(observer);
-                remaining -= 1;
-                continue;
-            }
-            match self.compiled.next_firing(self.round, self.cursor) {
-                Some(r) if r - self.round <= remaining => {
-                    let quiet = r - self.round - 1;
-                    if quiet > 0 {
-                        let done = self.run_parallel_segment(
-                            quiet,
-                            threads,
-                            min_ants_per_worker,
-                            observer,
-                        );
-                        remaining -= done;
-                        if done < quiet {
-                            // A trigger armed mid-segment; re-plan.
-                            continue;
-                        }
-                    }
-                    self.step(observer);
-                    remaining -= 1;
-                }
-                _ => {
-                    let done = self.run_parallel_segment(
-                        remaining,
-                        threads,
-                        min_ants_per_worker,
-                        observer,
-                    );
-                    remaining -= done;
-                }
-            }
+            remaining -= self.run_segment(remaining, threads, min_ants_per_worker, observer);
         }
     }
 
-    /// Runs up to `rounds` scheduled-event-free rounds on the worker
-    /// pool (the caller guarantees no one-shot or cycle fires inside
-    /// the segment). Returns the rounds actually completed: fewer than
-    /// `rounds` when a trigger arms, since its event must fire — and
-    /// therefore step — outside the pooled partition.
-    fn run_parallel_segment(
+    /// Runs one segment of at most `rounds` (≥ 1) rounds and returns the
+    /// rounds completed.
+    ///
+    /// The segment opens in the coordinator's exclusive window by firing
+    /// the events due on its first round (one-shots, cycles and armed
+    /// triggers). Only then does it partition the colony, sizing the
+    /// pool from the population those events left: one participant per
+    /// `min_ants_per_worker` ants, at most `threads` and at least the
+    /// calling thread. With one participant no thread is spawned and the
+    /// barrier never blocks. The segment ends before the next scheduled
+    /// firing round or after a round at which a trigger arms, since
+    /// either event may resize the population under the partition.
+    fn run_segment(
         &mut self,
         rounds: u64,
         threads: usize,
         min_ants_per_worker: usize,
         observer: &mut impl Observer,
     ) -> u64 {
-        use std::sync::{PoisonError, RwLock};
-
-        assert!(threads >= 1);
+        let first = self.round + 1;
+        self.timeline.fire(
+            first,
+            &mut self.colony,
+            &mut self.population,
+            arena_mut(&mut self.arena),
+            &mut self.noise,
+            &self.seeder,
+            &mut self.next_stream,
+        );
+        let rounds = match self
+            .timeline
+            .compiled
+            .next_firing(first, self.timeline.cursor)
+        {
+            Some(next) => rounds.min(next - first),
+            None => rounds,
+        };
         let n = self.population.len();
-        // Size the pool by how many workers the colony can keep busy,
-        // clamped by the requested thread count — `workers` can never
-        // exceed `threads`. Anything that cannot sustain two busy
-        // workers runs serially.
-        let workers = (n / min_ants_per_worker.max(1)).min(threads);
-        if workers < 2 {
-            // The serial path handles trigger rounds inline, so the
-            // whole segment always completes here.
-            self.run(rounds, observer);
-            return rounds;
-        }
+        let workers = (n / min_ants_per_worker).min(threads).max(1);
         // Round chunk boundaries up to 16 ants (16 × u32 = one 64-byte
         // cache line in the next-state column) so no two workers ever
         // write the same destination line.
@@ -727,8 +671,8 @@ impl SyncEngine {
         // twice: once to start stepping, once when every chunk is done.
         let barrier = RoundBarrier::new(workers);
 
-        // Partition the banks once for the whole run: each worker owns
-        // a disjoint set of (bank chunk, RNG chunk, ant-id chunk)
+        // Partition the banks once for the whole segment: each worker
+        // owns a disjoint set of (bank chunk, RNG chunk, ant-id chunk)
         // triples covering ~`chunk` ants.
         let parts = self.population.partition_mut(workers, chunk);
 
@@ -738,17 +682,16 @@ impl SyncEngine {
         let round = &mut self.round;
         let pre_deficits = &mut self.pre_deficits;
         let post_deficits = &mut self.post_deficits;
-        let compiled = &self.compiled;
-        let trigger_states = &mut self.trigger_states;
+        let timeline = &mut self.timeline;
         let own_delta = &mut self.round_delta;
-        let arena = &self.arena;
+        let arena = self.arena.as_ref();
 
         let (completed, parity) = std::thread::scope(|scope| {
             // The coordinator doubles as the worker for chunk 0, so the
             // run uses exactly `workers` OS threads (no oversubscription
             // from a dedicated coordinator).
             let mut parts = parts.into_iter();
-            // audit:allow(panic-path): the partitioner always emits >= 1 chunk for a non-empty colony (checked above).
+            // audit:allow(panic-path): the partitioner emits exactly `workers` >= 1 parts.
             let mut own_part = parts.next().expect("at least one chunk");
             let _unwind = barrier.break_on_unwind();
             for (slot, mut part) in slots.iter().zip(parts) {
@@ -787,8 +730,8 @@ impl SyncEngine {
             let mut completed = 0u64;
             let mut parity = 0usize;
             for _ in 0..rounds {
-                // Exclusive window: begin the round (event-free by the
-                // segment contract).
+                // Exclusive window: begin the round. Its events, if any,
+                // fired before the partition.
                 *round += 1;
                 colony.deficits_into(pre_deficits);
                 let prepared =
@@ -796,10 +739,14 @@ impl SyncEngine {
                 // Still exclusive: freeze this round's sense rows before
                 // any worker can read them.
                 if let Some(l) = arena {
-                    l.write().build_round(&prepared);
+                    l.write()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .build_round(&prepared);
                 }
-                *shared.write().unwrap_or_else(PoisonError::into_inner) =
-                    Some((Arc::clone(&prepared), parity));
+                if !slots.is_empty() {
+                    *shared.write().unwrap_or_else(PoisonError::into_inner) =
+                        Some((Arc::clone(&prepared), parity));
+                }
                 if barrier.wait().is_err() {
                     break;
                 }
@@ -825,10 +772,11 @@ impl SyncEngine {
                 }
                 parity ^= 1;
                 // Exclusive window: the wander pass runs against the
-                // just-flipped authoritative column, exactly where the
-                // serial path runs it after `commit_round`.
+                // just-flipped authoritative column.
                 if let Some(l) = arena {
-                    l.write().wander(*round, &columns[parity]);
+                    l.write()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .wander(*round, &columns[parity]);
                 }
                 colony.deficits_into(post_deficits);
                 let record = RoundRecord {
@@ -841,25 +789,10 @@ impl SyncEngine {
                 };
                 observer.on_round(&record);
                 completed += 1;
-                // Still inside the exclusive window: evaluate triggers
-                // exactly as the serial path's finish_round does. An
-                // armed trigger ends the segment — its event fires at
-                // the start of the next round, outside the partition.
-                if compiled.has_triggers() {
-                    // The colony's task column is on loan to `columns`
-                    // for the whole segment, so `colony.num_ants()`
-                    // would read 0 here — build the view from the
-                    // segment's own population count instead.
-                    let view = ColonyView {
-                        round: *round,
-                        regret: post_deficits.iter().map(|d| d.unsigned_abs()).sum(),
-                        population: n,
-                        idle: colony.idle_count(),
-                        deficits: post_deficits,
-                    };
-                    if compiled.observe_triggers(trigger_states, &view) {
-                        break;
-                    }
+                // Still exclusive: an armed trigger ends the segment,
+                // since its event fires at the start of the next round.
+                if timeline.observe(*round, post_deficits, n, colony) {
+                    break;
                 }
             }
             // Stop the workers at their next start crossing. On a broken
@@ -892,7 +825,7 @@ impl SyncEngine {
             p,
             &mut self.colony,
             &mut self.population,
-            self.arena.as_mut().map(|l| l.get_mut()),
+            arena_mut(&mut self.arena),
             &mut self.init_rng,
             &self.seeder,
             &mut self.next_stream,
@@ -908,7 +841,7 @@ impl SyncEngine {
         };
         let (arena_site, arena_travel) = match &self.arena {
             Some(l) => {
-                let a = l.read();
+                let a = l.read().unwrap_or_else(PoisonError::into_inner);
                 (a.site().to_vec(), a.travel().to_vec())
             }
             None => (Vec::new(), Vec::new()),
@@ -920,9 +853,9 @@ impl SyncEngine {
             rng_states: self.population.rng_states(),
             round: self.round,
             next_stream: self.next_stream,
-            cursor: self.cursor as u64,
+            cursor: self.timeline.cursor as u64,
             members,
-            trigger_states: self.trigger_states.clone(),
+            trigger_states: self.timeline.trigger_states.clone(),
             scratch: self.population.scratches(),
             arena_site,
             arena_travel,
@@ -981,22 +914,14 @@ impl SyncEngine {
         }
         self.noise.clone_from(noise);
         self.seeder = StreamSeeder::new(config.seed);
-        self.event_seeder = event_seeder(config.seed);
         self.init_rng = self.seeder.stream(reserved::INIT);
         self.round = round;
-        self.cursor = cursor as usize;
-        // The compiled stream is a pure function of (config, seed):
-        // magnitudes scale off the *initial* n and demands, not the
-        // possibly-shrunk captured colony.
-        self.compiled = config
-            .timeline
-            .compile(config.seed, config.n, &config.demands);
-        self.trigger_states = if trigger_states.is_empty() {
-            self.compiled.initial_trigger_states()
-        } else {
-            debug_assert_eq!(trigger_states.len(), self.compiled.triggers.len());
-            trigger_states.to_vec()
-        };
+        self.timeline = TimelineRun::new(config);
+        self.timeline.cursor = cursor as usize;
+        if !trigger_states.is_empty() {
+            debug_assert_eq!(trigger_states.len(), self.timeline.trigger_states.len());
+            self.timeline.trigger_states = trigger_states.to_vec();
+        }
         self.pre_deficits.clear();
         self.pre_deficits.resize(k, 0);
         self.post_deficits.clear();
@@ -1013,7 +938,7 @@ impl SyncEngine {
                 // if one somehow does not.
                 None => state.sync_to_colony(&self.colony),
             }
-            parking_lot::RwLock::new(state)
+            RwLock::new(state)
         });
     }
 }
@@ -1152,17 +1077,21 @@ mod tests {
     fn worker_count_never_exceeds_requested_threads() {
         // Regression: with n just above one worker's minimum, the old
         // heuristic `threads.min(n / min).max(2)` ran 2 undersized
-        // workers; the pool must instead fall back to serial. We can't
-        // observe thread counts directly, but the path must stay
-        // bit-identical to serial either way.
+        // workers; the pool must instead run on the calling thread
+        // alone. We can't observe thread counts directly, but the path
+        // must stay bit-identical to serial either way.
         let mut serial = config().build();
-        let mut pooled = config().build();
         let mut obs = NullObserver;
         serial.run(20, &mut obs);
-        // 800 ants / 8000 min = 0 workers → serial fallback.
-        pooled.run_parallel(20, 8, &mut obs);
-        assert_eq!(serial.colony().loads(), pooled.colony().loads());
-        assert_eq!(serial.colony().assignments(), pooled.colony().assignments());
+        // 800 ants / 8000 min = 0 workers → the calling thread alone.
+        // `threads = 0` runs there too (it used to trip an assertion).
+        for threads in [8, 0] {
+            let mut pooled = config().build();
+            pooled.run_parallel(20, threads, &mut obs);
+            assert_eq!(pooled.round(), 20);
+            assert_eq!(serial.colony().loads(), pooled.colony().loads());
+            assert_eq!(serial.colony().assignments(), pooled.colony().assignments());
+        }
     }
 
     #[test]
@@ -1285,9 +1214,12 @@ mod tests {
             serial.colony().assignments(),
             parallel.colony().assignments()
         );
-        assert_eq!(serial.trigger_states, parallel.trigger_states);
+        assert_eq!(serial.trigger_states(), parallel.trigger_states());
         // The trigger really struck (otherwise this test is vacuous).
-        assert!(serial.trigger_states[0].firings > 0, "trigger never fired");
+        assert!(
+            serial.trigger_states()[0].firings > 0,
+            "trigger never fired"
+        );
     }
 
     #[test]

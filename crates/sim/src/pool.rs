@@ -74,8 +74,11 @@ impl RoundBarrier {
     }
 
     /// Blocks until every participant has arrived, or fails once the
-    /// barrier is broken.
+    /// barrier is broken. A lone participant passes straight through.
     pub(crate) fn wait(&self) -> Result<(), Broken> {
+        if self.participants == 1 {
+            return Ok(());
+        }
         let mut state = self.state();
         if state.broken {
             return Err(Broken);

@@ -77,18 +77,23 @@ type Trace = Vec<(u64, u64, u64, u64, Vec<u32>)>;
 
 /// The pooled path's published deltas under heavy idle churn. Trivial
 /// and ExactGreedy started all-idle move a large share of the colony
-/// between idle and working every round, and a kill and a spawn resize
-/// it mid-run, so every worker's own `idle_flips` buffer grows, is
+/// between idle and working every round, and kills and spawns resize it
+/// mid-run, so every worker's own `idle_flips` buffer grows, is
 /// published and is merged every round. The per-round trace and the
-/// final assignments must match the serial path at every thread count.
+/// final assignments must match one serial call at every thread count.
+///
+/// The inputs also pin the segment planner's edges: an event on round
+/// 1, events on adjacent rounds, a call that ends exactly on a firing
+/// round, and a trigger that arms on the last round of one call and
+/// fires in the next.
 #[test]
 fn pooled_idle_churn_trace_matches_serial() {
     use antalloc_core::ExactGreedyParams;
-    use antalloc_env::{Event, InitialConfig, Timeline};
+    use antalloc_env::{Condition, Event, InitialConfig, Timeline, Trigger};
     use antalloc_sim::{FnObserver, RoundRecord};
 
     let n = 2_000usize;
-    let mut cfg = SimConfig::builder(n, vec![300, 250, 200])
+    let base = SimConfig::builder(n, vec![300, 250, 200])
         .noise(NoiseModel::Sigmoid { lambda: 1.5 })
         .controller(ControllerSpec::Mix(vec![
             (1.0, ControllerSpec::Trivial),
@@ -101,40 +106,84 @@ fn pooled_idle_churn_trace_matches_serial() {
         .initial(InitialConfig::AllIdle)
         .build()
         .expect("valid scenario");
-    cfg.timeline = Timeline::new()
-        .at(15, Event::Kill { count: 300 })
-        .at(30, Event::Spawn { count: 500 });
-    let run = |threads: Option<usize>| {
-        let mut trace = Trace::new();
-        let mut engine = cfg.build();
-        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
-            trace.push((
-                r.round,
-                r.instant_regret(),
-                r.switches,
-                r.idle,
-                r.loads.to_vec(),
-            ));
-        });
-        match threads {
-            None => engine.run(60, &mut obs),
-            Some(t) => engine.run_parallel_forced(60, t, &mut obs),
+    // Each input: a timeline, and how the pooled runs split 60 rounds
+    // into `run_parallel_forced` calls.
+    let inputs = [
+        (
+            Timeline::new()
+                .at(15, Event::Kill { count: 300 })
+                .at(30, Event::Spawn { count: 500 }),
+            vec![60],
+        ),
+        (
+            Timeline::new()
+                .at(1, Event::Kill { count: 100 })
+                .at(15, Event::Kill { count: 300 })
+                .at(16, Event::Spawn { count: 500 }),
+            vec![15, 45],
+        ),
+        (
+            Timeline::new().trigger(Trigger::once(
+                Condition::RoundReached { round: 20 },
+                Event::Spawn { count: 400 },
+            )),
+            vec![20, 40],
+        ),
+    ];
+    for (timeline, calls) in inputs {
+        let mut cfg = base.clone();
+        cfg.timeline = timeline;
+        let run = |threads: Option<usize>| {
+            let mut trace = Trace::new();
+            let mut engine = cfg.build();
+            let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
+                trace.push((
+                    r.round,
+                    r.instant_regret(),
+                    r.switches,
+                    r.idle,
+                    r.loads.to_vec(),
+                ));
+            });
+            match threads {
+                None => engine.run(60, &mut obs),
+                Some(t) => {
+                    for &rounds in &calls {
+                        engine.run_parallel_forced(rounds, t, &mut obs);
+                    }
+                }
+            }
+            assert!(engine.colony().recount_consistent());
+            let fired: Vec<u64> = engine
+                .trigger_states()
+                .iter()
+                .map(|s| s.last_fired)
+                .collect();
+            (trace, engine.colony().assignments(), fired)
+        };
+        let serial = run(None);
+        // The case is not vacuous: the idle count swings by hundreds of
+        // ants within a single round.
+        let swing = serial
+            .0
+            .windows(2)
+            .map(|w| w[0].3.abs_diff(w[1].3))
+            .max()
+            .unwrap();
+        assert!(swing >= (n / 10) as u64, "max idle swing {swing}");
+        // The trigger armed at the end of the first call's last round.
+        assert!(
+            serial.2.iter().all(|&r| r == calls[0] + 1),
+            "{:?}",
+            serial.2
+        );
+        for threads in [2usize, 3, 4] {
+            assert_eq!(
+                run(Some(threads)),
+                serial,
+                "threads = {threads}, calls {calls:?}"
+            );
         }
-        assert!(engine.colony().recount_consistent());
-        (trace, engine.colony().assignments())
-    };
-    let serial = run(None);
-    // The case is not vacuous: the idle count swings by hundreds of
-    // ants within a single round.
-    let swing = serial
-        .0
-        .windows(2)
-        .map(|w| w[0].3.abs_diff(w[1].3))
-        .max()
-        .unwrap();
-    assert!(swing >= (n / 10) as u64, "max idle swing {swing}");
-    for threads in [2usize, 3, 4] {
-        assert_eq!(run(Some(threads)), serial, "threads = {threads}");
     }
 }
 
@@ -151,8 +200,8 @@ mod fused_properties {
     use antalloc_sim::{Checkpoint, FnObserver, RoundRecord};
     use proptest::prelude::*;
 
-    /// Thread counts the fused path is pinned at (1 exercises the
-    /// forced single-worker parallel harness, not the serial fallback).
+    /// Thread counts the fused path is pinned at (1 is the
+    /// one-participant round loop that `run` itself uses).
     const THREADS: [usize; 4] = [1, 2, 4, 8];
 
     /// Homogeneous and mixed colonies; mixes make bank boundaries land
