@@ -22,11 +22,25 @@ pub fn banner(id: &str, title: &str, claim: &str) {
     println!("================================================================");
 }
 
-/// Where experiment CSVs land (`target/experiments`).
+/// Where experiment CSVs land: `target/experiments` of the checkout the
+/// bench runs from.
 pub fn out_dir() -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+    // disallowed_methods: cargo sets CARGO_MANIFEST_DIR for `bench`,
+    // `test` and `run`; reading it only picks the output directory, so a
+    // copied checkout that reuses a build writes into its own `target/`
+    // (audit.toml relaxes bench too).
+    #[allow(clippy::disallowed_methods)]
+    let runtime = std::env::var("CARGO_MANIFEST_DIR").ok();
+    let dir = experiments_dir(runtime.as_deref(), env!("CARGO_MANIFEST_DIR"));
     std::fs::create_dir_all(&dir).expect("create target/experiments");
     dir
+}
+
+/// `target/experiments` of the workspace whose bench crate lives at
+/// `runtime` (the manifest dir cargo reports when the bench runs), or
+/// at `compiled` (the one baked in at build time) outside cargo.
+fn experiments_dir(runtime: Option<&str>, compiled: &str) -> PathBuf {
+    PathBuf::from(runtime.unwrap_or(compiled)).join("../../target/experiments")
 }
 
 /// An aligned text table that also saves itself as CSV.
@@ -193,6 +207,20 @@ pub fn fmt(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn experiments_dir_prefers_the_run_time_checkout() {
+        let copy = experiments_dir(Some("/copy/crates/bench"), "/orig/crates/bench");
+        assert_eq!(
+            copy,
+            PathBuf::from("/copy/crates/bench/../../target/experiments")
+        );
+        let fallback = experiments_dir(None, "/orig/crates/bench");
+        assert_eq!(
+            fallback,
+            PathBuf::from("/orig/crates/bench/../../target/experiments")
+        );
+    }
 
     #[test]
     fn fmt_ranges() {

@@ -29,10 +29,13 @@
 /// decisions commit, every *idle, non-traveling* ant flips a
 /// `wander_probability` coin (on the reserved `ARENA` stream, in global
 /// ant order) and, on success, departs for a uniformly chosen *other*
-/// site, arriving `travel_rounds` rounds later. Working ants stay put —
-/// they are at their task's site by construction — and travelers sense
-/// all-`Overload` (they see no task, so every kernel keeps them idle
-/// without consuming draws).
+/// site, arriving `travel_rounds` rounds later. Travelers sense
+/// all-`Overload`: they can join no task, and the masked entries
+/// consume no draws. Working ants stay put, but "working" means the
+/// committed column, not the controller's memory: an Algorithm Ant
+/// worker paused on an odd round is committed idle, may move, and
+/// resumes its task wherever it stands, so workers are not pinned to
+/// their task's site.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ArenaConfig {
     /// Site of each task: `site_of_task[j]` is where task `j` lives.

@@ -398,10 +398,10 @@ impl<'a> SensedRound<'a> {
         assert_eq!(site_tasks.len() % k, 0, "rows must be k entries each");
         let rows = site_tasks.len() / k;
         assert!(rows > 0, "sensed round with zero rows");
-        assert!(
-            sense_of.iter().all(|&r| (r as usize) < rows),
-            "sense row out of range"
-        );
+        // A branch-free max fold rather than a short-circuiting `all`:
+        // the check runs per pooled participant per round, over every ant.
+        let max_row = sense_of.iter().fold(0, |m, &r| m.max(r));
+        assert!((max_row as usize) < rows, "sense row out of range");
         SensedRound {
             site_tasks,
             sense_of,
@@ -634,6 +634,25 @@ mod tests {
     #[should_panic]
     fn mismatched_lengths_panic() {
         NoiseModel::Exact.prepare(0, &[1, 2], &[10]);
+    }
+
+    #[test]
+    fn per_ant_rows_are_range_checked() {
+        let rows = [TaskFeedback::Fixed(Feedback::Lack); 6]; // 3 rows, k = 2
+        assert!(SensedRound::from_parts(&rows, &[], 2, 1)
+            .shared_view()
+            .is_some());
+        assert!(SensedRound::from_parts(&rows, &[2, 0, 1], 2, 1)
+            .shared_view()
+            .is_none());
+        for bad in [[0, 3, 1], [u32::MAX, 0, 0]] {
+            let panic = std::panic::catch_unwind(|| SensedRound::from_parts(&rows, &bad, 2, 1));
+            let message = panic.expect_err("row out of range");
+            assert_eq!(
+                message.downcast_ref::<&str>(),
+                Some(&"sense row out of range")
+            );
+        }
     }
 
     mod properties {

@@ -14,22 +14,46 @@
 //! Movement is resolved in the coordinator's exclusive window (serial:
 //! right after the round commits), on the reserved `ARENA` stream keyed
 //! per round, in global ant order: travel counters tick down first,
-//! then every idle settled ant flips the wander coin and, on success,
-//! departs for a uniformly chosen *other* site. Working ants never
-//! move — an ant can only join a task whose feedback it senses, i.e. a
-//! task at its own site, so "working ants stand at their task's site"
-//! is an invariant maintained by construction (and re-imposed wholesale
-//! by [`ArenaState::sync_to_colony`] after scrambles and restores).
+//! then every ant that is settled and *idle in the committed column*
+//! flips the wander coin and, on success, departs for a uniformly
+//! chosen other site. The same pass writes next round's `sense_of`, so
+//! [`ArenaState::build_round`] only rebuilds the small feedback rows;
+//! the per-ant rows are rebuilt from scratch only after a position
+//! changed outside the pass (spawns, kills, scrambles, restores).
+//!
+//! Working ants are not pinned to their task's site. An ant joins only
+//! a task it senses, at its own site, but the committed column is not
+//! the controller's memory:
+//! * Ant and AntDesync pause a worker on an odd round, which commits it
+//!   as idle; the wander pass may move it (or set it in transit), and
+//!   the even round resumes its task from memory wherever it stands.
+//! * PreciseSigmoid joins on counts gathered over a phase, part of
+//!   which it may have spent at its previous site.
+//!
+//! [`ArenaState::sync_to_colony`] snaps every worker to its task's site
+//! after the initial configuration, scrambles and stampedes; a
+//! checkpoint restore puts the captured columns back verbatim.
 
 use antalloc_env::{ArenaConfig, Assignment, ColonyState, TaskColumn};
 use antalloc_noise::{Feedback, PreparedRound, SensedRound, TaskFeedback};
-use antalloc_rng::{reserved, uniform_index, Bernoulli, StreamSeeder};
+use antalloc_rng::{reserved, uniform_index, AntRng, Bernoulli, StreamSeeder};
 
 /// The sub-seeder arena wander draws derive from: a pure function of
 /// the master seed, keyed per round, so movement replays bit-identically
 /// on every stepping path.
 pub(crate) fn arena_seeder(seed: u64) -> StreamSeeder {
     StreamSeeder::new(StreamSeeder::new(seed).stream(reserved::ARENA).next_u64())
+}
+
+/// The row an ant senses: the blind row while in transit, its site's
+/// row once settled.
+#[inline]
+fn sense_row(site: u32, travel: u32, blind: u32) -> u32 {
+    if travel > 0 {
+        blind
+    } else {
+        site
+    }
 }
 
 /// Live spatial state for one engine: where every ant stands, how long
@@ -45,8 +69,15 @@ pub(crate) struct ArenaState {
     /// holds task `j`'s real feedback iff `site_of_task[j] == s`, the
     /// trailing row is all-`Overload` for travelers.
     rows: Vec<TaskFeedback>,
-    /// Per-ant row index into `rows`.
+    /// Per-ant row index into `rows`: the blind row while in transit,
+    /// the ant's site otherwise. Written by the wander pass.
     sense_of: Vec<u32>,
+    /// Whether a position changed since `sense_of` was last written, so
+    /// the next [`ArenaState::build_round`] must rebuild it.
+    sense_stale: bool,
+    /// Wander-pass scratch: the ants eligible to flip a coin, in global
+    /// order.
+    eligible: Vec<u32>,
     /// Wander randomness, keyed per round.
     seeder: StreamSeeder,
     wander: Bernoulli,
@@ -65,6 +96,8 @@ impl ArenaState {
             travel: Vec::new(),
             rows: Vec::new(),
             sense_of: Vec::new(),
+            sense_stale: true,
+            eligible: Vec::new(),
             seeder: arena_seeder(seed),
             wander: Bernoulli::new(config.wander_probability),
         };
@@ -81,6 +114,7 @@ impl ArenaState {
             self.site.push(Self::home_site(i, self.num_sites));
             self.travel.push(0);
         }
+        self.sense_stale = true;
     }
 
     /// The deterministic spawn/initial site for global index `i`.
@@ -101,10 +135,17 @@ impl ArenaState {
         self.num_sites <= 1
     }
 
+    /// The row index of the trailing all-`Overload` row travelers sense.
+    #[inline]
+    fn blind_row(&self) -> u32 {
+        // audit:allow(cast): validation bounds num_sites by the task count (≤ MAX_TASKS, far below 2^32).
+        self.num_sites as u32
+    }
+
     /// Snaps every *working* ant to its task's site (settled); idle ants
     /// keep their position and travel state. Call after anything that
-    /// rewrites assignments wholesale: initial configs, scrambles,
-    /// stampedes, checkpoint restore.
+    /// rewrites assignments wholesale: initial configs, scrambles and
+    /// stampedes.
     pub(crate) fn sync_to_colony(&mut self, colony: &ColonyState) {
         let n = colony.num_ants();
         while self.site.len() < n {
@@ -121,12 +162,14 @@ impl ArenaState {
                 self.travel[i] = 0;
             }
         }
+        self.sense_stale = true;
     }
 
     /// Mirrors `Population::remove` (swap-remove of global slot `i`).
     pub(crate) fn remove(&mut self, i: usize) {
         self.site.swap_remove(i);
         self.travel.swap_remove(i);
+        self.sense_stale = true;
     }
 
     /// Mirrors `Population::spawn`: the new ant lands settled at its
@@ -136,11 +179,13 @@ impl ArenaState {
         self.site
             .push(Self::home_site(self.site.len(), self.num_sites));
         self.travel.push(0);
+        self.sense_stale = true;
     }
 
-    /// Rebuilds the sense rows and per-ant row indices for the round
-    /// described by `prepared`. No-op for single-site geometries — the
-    /// engine hands out [`SensedRound::shared`] instead.
+    /// Rebuilds the sense rows for the round described by `prepared`,
+    /// and the per-ant row indices too if a position changed since the
+    /// last wander pass wrote them. No-op for single-site geometries —
+    /// the engine hands out [`SensedRound::shared`] instead.
     pub(crate) fn build_round(&mut self, prepared: &PreparedRound) {
         if self.is_single_site() {
             return;
@@ -154,15 +199,19 @@ impl ArenaState {
             let s = self.config.site_of(j) as usize;
             self.rows[s * k + j] = feedback;
         }
-        // audit:allow(cast): validation bounds num_sites by the task count (≤ MAX_TASKS, far below 2^32).
-        let blind = self.num_sites as u32;
-        self.sense_of.clear();
-        self.sense_of.extend(
-            self.site
-                .iter()
-                .zip(&self.travel)
-                .map(|(&s, &t)| if t > 0 { blind } else { s }),
-        );
+        let blind = self.blind_row();
+        let fresh = self
+            .site
+            .iter()
+            .zip(&self.travel)
+            .map(|(&s, &t)| sense_row(s, t, blind));
+        if self.sense_stale {
+            self.sense_of.clear();
+            self.sense_of.extend(fresh);
+            self.sense_stale = false;
+        } else {
+            debug_assert!(fresh.eq(self.sense_of.iter().copied()));
+        }
     }
 
     /// The sensed view of this round: the shared well-mixed view for
@@ -181,32 +230,58 @@ impl ArenaState {
         }
     }
 
-    /// The end-of-round movement pass: travel counters tick down, then
-    /// every idle settled ant flips the wander coin (reserved `ARENA`
-    /// stream keyed by `round`, global ant order) and on success departs
-    /// for a uniformly chosen other site. `assignments` is the
-    /// just-committed authoritative column.
+    /// The end-of-round movement pass. One sweep ticks every travel
+    /// counter down, writes next round's sense row per ant and lists the
+    /// ants that are settled and idle in `assignments` (the
+    /// just-committed authoritative column). Then each listed ant, in
+    /// global order, flips the wander coin (reserved `ARENA` stream
+    /// keyed by `round`) and on success departs for a uniformly chosen
+    /// other site.
     pub(crate) fn wander(&mut self, round: u64, assignments: &TaskColumn) {
+        let mut rng = self.seeder.stream(round);
+        self.wander_with(&mut rng, assignments);
+    }
+
+    /// [`ArenaState::wander`] drawing from `rng`, the round's stream.
+    fn wander_with(&mut self, rng: &mut AntRng, assignments: &TaskColumn) {
         if self.is_single_site() {
             return;
         }
-        for t in &mut self.travel {
+        let n = self.site.len();
+        let blind = self.blind_row();
+        self.sense_of.resize(n, blind);
+        self.eligible.resize(n, 0);
+        let mut m = 0;
+        for (i, ((t, &s), row)) in self
+            .travel
+            .iter_mut()
+            .zip(&self.site)
+            .zip(&mut self.sense_of)
+            .enumerate()
+        {
             *t = t.saturating_sub(1);
+            *row = sense_row(s, *t, blind);
+            // audit:allow(cast): ant slot indices are < the colony size, which the u32 assignment columns already bound below 2^32.
+            let id = i as u32;
+            let idle = assignments.load(id) == Assignment::RAW_IDLE;
+            // Branch-free append: the slot is always written, the
+            // length grows only for an eligible ant (m ≤ i < n).
+            self.eligible[m] = id;
+            m += usize::from(*t == 0 && idle);
         }
+        self.sense_stale = false;
         if self.wander.never() {
             return;
         }
-        let mut rng = self.seeder.stream(round);
-        for i in 0..self.site.len() {
-            // audit:allow(cast): ant slot indices are < the colony size, which the u32 assignment columns already bound below 2^32.
-            if self.travel[i] > 0 || assignments.load(i as u32) != Assignment::RAW_IDLE {
-                continue;
-            }
-            if self.wander.sample(&mut rng) {
+        for &id in &self.eligible[..m] {
+            if self.wander.sample(rng) {
+                // audit:allow(cast): u32 → usize widening (usize ≥ 32 bits on supported targets).
+                let i = id as usize;
                 // audit:allow(cast): the pick is < num_sites − 1, and validation bounds num_sites by the task count (≤ MAX_TASKS).
-                let pick = uniform_index(&mut rng, self.num_sites - 1) as u32;
+                let pick = uniform_index(rng, self.num_sites - 1) as u32;
                 self.site[i] = pick + u32::from(pick >= self.site[i]);
                 self.travel[i] = self.config.travel_rounds;
+                self.sense_of[i] = sense_row(self.site[i], self.travel[i], blind);
             }
         }
     }
@@ -231,6 +306,7 @@ impl ArenaState {
         self.site.extend_from_slice(site);
         self.travel.clear();
         self.travel.extend_from_slice(travel);
+        self.sense_stale = true;
     }
 }
 
@@ -327,5 +403,155 @@ mod tests {
         assert_eq!(a.site()[3], 0); // home site of global index 3
         a.remove(0); // swap-remove: last ant slides into slot 0
         assert_eq!(a.site(), &[0, 1, 2]);
+    }
+
+    /// The per-ant arena as it stood before the fused wander pass:
+    /// position columns, the original two-loop wander and a from-scratch
+    /// sense-row build. The fused pass must match it draw for draw.
+    struct Oracle {
+        config: ArenaConfig,
+        num_sites: usize,
+        site: Vec<u32>,
+        travel: Vec<u32>,
+    }
+
+    impl Oracle {
+        fn wander(&mut self, rng: &mut AntRng, assignments: &TaskColumn) {
+            for t in &mut self.travel {
+                *t = t.saturating_sub(1);
+            }
+            let wander = Bernoulli::new(self.config.wander_probability);
+            if wander.never() {
+                return;
+            }
+            for i in 0..self.site.len() {
+                if self.travel[i] > 0 || assignments.load(i as u32) != Assignment::RAW_IDLE {
+                    continue;
+                }
+                if wander.sample(rng) {
+                    let pick = uniform_index(rng, self.num_sites - 1) as u32;
+                    self.site[i] = pick + u32::from(pick >= self.site[i]);
+                    self.travel[i] = self.config.travel_rounds;
+                }
+            }
+        }
+
+        /// Every ant's sensed row (`k` entries), rebuilt from scratch.
+        fn sensed_rows(&self, prepared: &PreparedRound) -> Vec<Vec<TaskFeedback>> {
+            let k = prepared.num_tasks();
+            let mut rows = vec![TaskFeedback::Fixed(Feedback::Overload); (self.num_sites + 1) * k];
+            for (j, &feedback) in prepared.tasks().iter().enumerate() {
+                rows[self.config.site_of(j) as usize * k + j] = feedback;
+            }
+            self.site
+                .iter()
+                .zip(&self.travel)
+                .map(|(&s, &t)| {
+                    let row = if t > 0 { self.num_sites } else { s as usize };
+                    rows[row * k..(row + 1) * k].to_vec()
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn fused_wander_matches_the_per_ant_oracle() {
+        use antalloc_rng::Xoshiro256pp;
+        let k = 4;
+        let prep = NoiseModel::Sigmoid { lambda: 0.5 }.prepare(1, &[3, -2, 0, 5], &[10; 4]);
+        for travel_rounds in [0, 1, 2] {
+            for p in [0.0, 0.05, 1.0] {
+                for seed in 0..6 {
+                    let config = ArenaConfig {
+                        site_of_task: vec![0, 1, 2, 1],
+                        travel_rounds,
+                        wander_probability: p,
+                    };
+                    let mut ops = Xoshiro256pp::seed_from_u64(seed);
+                    let n0 = 40 + uniform_index(&mut ops, 40);
+                    let mut a = ArenaState::new(&config, n0, seed);
+                    let mut o = Oracle {
+                        config: config.clone(),
+                        num_sites: 3,
+                        site: (0..n0).map(|i| (i % 3) as u32).collect(),
+                        travel: vec![0; n0],
+                    };
+                    let seeder = arena_seeder(seed);
+                    for round in 1..=150u64 {
+                        // Zero to two position changes outside the pass
+                        // (a round's events), then a round's sensing and
+                        // wander pass.
+                        for _ in 0..uniform_index(&mut ops, 3) {
+                            let n = a.len();
+                            match uniform_index(&mut ops, 6) {
+                                0 if n > 1 => {
+                                    let i = uniform_index(&mut ops, n);
+                                    a.remove(i);
+                                    o.site.swap_remove(i);
+                                    o.travel.swap_remove(i);
+                                }
+                                1 => {
+                                    a.spawn();
+                                    o.site.push((o.site.len() % 3) as u32);
+                                    o.travel.push(0);
+                                }
+                                2 => {
+                                    let mut colony =
+                                        ColonyState::new(n, DemandVector::new(vec![5; k]));
+                                    for i in 0..n {
+                                        let pick = uniform_index(&mut ops, k + 1);
+                                        if pick < k {
+                                            colony.apply(i, Assignment::Task(pick as u32));
+                                            o.site[i] = config.site_of(pick);
+                                            o.travel[i] = 0;
+                                        }
+                                    }
+                                    a.sync_to_colony(&colony);
+                                }
+                                3 => {
+                                    o.site =
+                                        (0..n).map(|_| uniform_index(&mut ops, 3) as u32).collect();
+                                    o.travel =
+                                        (0..n).map(|_| uniform_index(&mut ops, 3) as u32).collect();
+                                    a.set_columns(&o.site, &o.travel);
+                                }
+                                4 if uniform_index(&mut ops, 4) == 0 => {
+                                    let n = 20 + uniform_index(&mut ops, 60);
+                                    a.reset(n);
+                                    o.site = (0..n).map(|i| (i % 3) as u32).collect();
+                                    o.travel = vec![0; n];
+                                }
+                                _ => {}
+                            }
+                        }
+                        assert_eq!(a.site(), o.site.as_slice());
+                        assert_eq!(a.travel(), o.travel.as_slice());
+
+                        a.build_round(&prep);
+                        let sensed = o.sensed_rows(&prep);
+                        assert_eq!(a.sense_of.len(), sensed.len());
+                        for (i, row) in sensed.iter().enumerate() {
+                            let r = a.sense_of[i] as usize;
+                            assert_eq!(&a.rows[r * k..(r + 1) * k], row.as_slice(), "ant {i}");
+                        }
+
+                        let column = TaskColumn::new(a.len());
+                        for i in 0..a.len() {
+                            let pick = uniform_index(&mut ops, k + 2);
+                            if pick < k {
+                                column.store(i as u32, pick as u32);
+                            }
+                        }
+                        let (mut fused_rng, mut oracle_rng) =
+                            (seeder.stream(round), seeder.stream(round));
+                        a.wander_with(&mut fused_rng, &column);
+                        o.wander(&mut oracle_rng, &column);
+                        assert_eq!(fused_rng.next_u64(), oracle_rng.next_u64(), "round {round}");
+                        assert_eq!(a.site(), o.site.as_slice());
+                        assert_eq!(a.travel(), o.travel.as_slice());
+                    }
+                }
+            }
+        }
     }
 }

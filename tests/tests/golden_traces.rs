@@ -177,3 +177,43 @@ fn three_site_arena_under_shocks_is_pinned() {
         "3767dd4a0a6d284baae198ef8ed1f3cc0a7ef02f3af17b4bb1ca391efe5037b7",
     );
 }
+
+#[test]
+fn two_site_instant_wander_with_adjacent_shocks_is_pinned() {
+    // Every idle ant wanders every round and arrives at once, and the
+    // shocks land on adjacent rounds, so each of those rounds opens a
+    // one-round segment whose positions changed outside the wander pass.
+    // The soft sigmoid and near-balanced demands keep feedback random,
+    // so an ant sensing a stale row consumes different draws.
+    let timeline = Timeline::new()
+        .at(10, Event::Kill { count: 120 })
+        .at(11, Event::Spawn { count: 150 })
+        .at(12, Event::Scramble)
+        .at(13, Event::StampedeTo(1))
+        .at(14, Event::Kill { count: 60 })
+        .at(30, Event::Spawn { count: 40 })
+        .at(31, Event::Scramble);
+    let cfg = SimConfig::builder(700, vec![250, 200, 220])
+        .noise(NoiseModel::Sigmoid { lambda: 0.05 })
+        .controller(ControllerSpec::Mix(vec![
+            (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+            (
+                1.0,
+                ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
+            ),
+        ]))
+        .seed(4)
+        .arena(ArenaConfig {
+            site_of_task: vec![0, 1, 1],
+            travel_rounds: 0,
+            wander_probability: 1.0,
+        })
+        .timeline(timeline)
+        .build()
+        .expect("valid scenario");
+    check(
+        &cfg,
+        60,
+        "dfa3d923c81f6e213b31f429466be94f99b09eccdcff7e68d889918cef388787",
+    );
+}
