@@ -39,6 +39,10 @@ pub struct Config {
     /// Summary docs whose checkpoint version ranges (`v2 → … → vN`)
     /// must end at the same version.
     pub checkpoint_range_docs: Vec<String>,
+    /// Directory that must hold a `checkpoint_v{N}_*.ckpt` fixture for
+    /// every readable version older than the current one (`None`
+    /// skips the check).
+    pub checkpoint_fixture_dir: Option<String>,
     /// Docs that must table every reserved stream.
     pub stream_table_docs: Vec<String>,
     /// `crate name -> reason` entries allowed to omit
@@ -109,6 +113,7 @@ impl Config {
             checkpoint_doc: get_str("consistency", "checkpoint-doc")
                 .ok_or_else(|| ConfigError("missing [consistency] checkpoint-doc".into()))?,
             checkpoint_range_docs: get_list("consistency", "checkpoint-range-docs"),
+            checkpoint_fixture_dir: get_str("consistency", "checkpoint-fixture-dir"),
             stream_table_docs: get_list("consistency", "stream-table-docs"),
             unsafe_allowlist,
         })

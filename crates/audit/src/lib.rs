@@ -25,10 +25,11 @@
 //! * **unsafe/panic hygiene** (`forbid-unsafe`, `panic-path`) —
 //!   `#![forbid(unsafe_code)]` in every crate root, no
 //!   `unwrap`/`expect`/`panic!` in engine step/apply paths;
-//! * **cross-file consistency** (`doc-version`, `doc-stream-table`) —
-//!   the checkpoint format version matches `docs/CHECKPOINTS.md` and
-//!   the README's version range, and
-//!   every reserved stream is tabled in the architecture docs.
+//! * **cross-file consistency** (`doc-version`, `checkpoint-fixture`,
+//!   `doc-stream-table`) — the checkpoint format version matches
+//!   `docs/CHECKPOINTS.md` and the README's version range, every older
+//!   readable version has a binary fixture, and every reserved stream
+//!   is tabled in the architecture docs.
 //!
 //! Pragmas themselves are audited: an unknown rule name or a missing
 //! reason is `bad-pragma`, and a pragma that suppresses nothing is
@@ -84,6 +85,7 @@ pub const RULES: &[&str] = &[
     "forbid-unsafe",
     "panic-path",
     "doc-version",
+    "checkpoint-fixture",
     "doc-stream-table",
 ];
 

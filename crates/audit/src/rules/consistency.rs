@@ -5,9 +5,11 @@
 //!
 //! * the **checkpoint format version** — `const VERSION` in the
 //!   checkpoint codec vs the "current version (vN)" statement and the
-//!   version-history table column in `docs/CHECKPOINTS.md`, and vs
-//!   every version range (`v2 → … → vN`) in the summary docs that
-//!   mention the format (the README);
+//!   version-history table column in `docs/CHECKPOINTS.md`, vs every
+//!   version range (`v2 → … → vN`) in the summary docs that mention
+//!   the format (the README), and vs the fixture directory, which must
+//!   hold a binary fixture for every older version the reader accepts
+//!   (`MIN_VERSION..VERSION`);
 //! * the **reserved-stream registry** — every constant in the `rng`
 //!   registry must appear as a table row in each configured doc, so a
 //!   new subsystem stream cannot land undocumented.
@@ -28,12 +30,7 @@ fn check_version(root: &Path, cfg: &Config, diags: &mut Vec<Diagnostic>) {
     let Some(source) = read(root, &cfg.checkpoint_source, diags) else {
         return;
     };
-    let code_version = source.lines().enumerate().find_map(|(i, l)| {
-        let rest = l.trim().strip_prefix("const VERSION: u32 =")?;
-        let v: u32 = rest.trim().trim_end_matches(';').parse().ok()?;
-        Some((i + 1, v))
-    });
-    let Some((src_line, version)) = code_version else {
+    let Some((src_line, version)) = const_u32(&source, "VERSION") else {
         diags.push(diag(
             "doc-version",
             &cfg.checkpoint_source,
@@ -46,6 +43,9 @@ fn check_version(root: &Path, cfg: &Config, diags: &mut Vec<Diagnostic>) {
         if let Some(doc) = read(root, doc_path, diags) {
             check_version_ranges(&doc, doc_path, version, cfg, src_line, diags);
         }
+    }
+    if let Some(dir) = &cfg.checkpoint_fixture_dir {
+        check_fixtures(root, dir, &source, version, cfg, diags);
     }
     let Some(doc) = read(root, &cfg.checkpoint_doc, diags) else {
         return;
@@ -74,6 +74,71 @@ fn check_version(root: &Path, cfg: &Config, diags: &mut Vec<Diagnostic>) {
             1,
             format!("the version-history table has no `v{version}` column"),
         ));
+    }
+}
+
+/// The `(line, value)` of `const NAME: u32 = value;` in `source`.
+fn const_u32(source: &str, name: &str) -> Option<(usize, u32)> {
+    let prefix = format!("const {name}: u32 =");
+    source.lines().enumerate().find_map(|(i, l)| {
+        let rest = l.trim().strip_prefix(prefix.as_str())?;
+        let v: u32 = rest.trim().trim_end_matches(';').parse().ok()?;
+        Some((i + 1, v))
+    })
+}
+
+/// Every version the reader accepts below the current one must have a
+/// binary fixture named `checkpoint_v{N}_*.ckpt` in `dir`: the
+/// read-compat policy generates one before each bump, and a version
+/// without one is decoded by code no test exercises.
+fn check_fixtures(
+    root: &Path,
+    dir: &str,
+    source: &str,
+    version: u32,
+    cfg: &Config,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let Some((_, min_version)) = const_u32(source, "MIN_VERSION") else {
+        diags.push(diag(
+            "checkpoint-fixture",
+            &cfg.checkpoint_source,
+            1,
+            "no `const MIN_VERSION: u32 = ..;` declaration found".into(),
+        ));
+        return;
+    };
+    let names: Vec<String> = match std::fs::read_dir(root.join(dir)) {
+        Ok(entries) => entries
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .collect(),
+        Err(e) => {
+            diags.push(diag(
+                "checkpoint-fixture",
+                dir,
+                1,
+                format!("cannot read the fixture directory named in audit.toml: {e}"),
+            ));
+            return;
+        }
+    };
+    for v in min_version..version {
+        let prefix = format!("checkpoint_v{v}_");
+        if !names
+            .iter()
+            .any(|n| n.starts_with(&prefix) && n.ends_with(".ckpt"))
+        {
+            diags.push(diag(
+                "checkpoint-fixture",
+                dir,
+                1,
+                format!(
+                    "the checkpoint reader accepts v{v} (v{min_version}..=v{version}, {}) but \
+                     there is no `{prefix}*.ckpt` fixture",
+                    cfg.checkpoint_source
+                ),
+            ));
+        }
     }
 }
 

@@ -30,6 +30,7 @@ fn strict_config() -> Config {
         checkpoint_source: "checkpoint.rs".into(),
         checkpoint_doc: "CHECKPOINTS.md".into(),
         checkpoint_range_docs: vec!["README.md".into()],
+        checkpoint_fixture_dir: None,
         stream_table_docs: vec!["ARCHITECTURE.md".into()],
         unsafe_allowlist: BTreeMap::new(),
     }
@@ -187,6 +188,29 @@ fn bad_consistency_is_flagged() {
         "prose marker + missing table column + stale README range: {diags:?}"
     );
     assert_eq!(tables, 1, "missing NOISE row: {diags:?}");
+}
+
+#[test]
+fn missing_checkpoint_fixtures_are_flagged() {
+    // The codec reads v2..=v5; the fixture directory covers v2 and v4
+    // only. v3 is flagged (a `checkpoint_v3.ckpt` without a descriptive
+    // suffix does not count), the current v5 needs no fixture, and the
+    // docs agree with the codec, so nothing else fires.
+    let root = fixtures().join("bad_consistency_fixtures");
+    let cfg = Config {
+        checkpoint_fixture_dir: Some("fixtures".into()),
+        ..strict_config()
+    };
+    let mut diags = Vec::new();
+    rules::consistency::check(&root, &cfg, &registry(), &mut diags);
+    assert_eq!(rules_fired(&diags), ["checkpoint-fixture"], "{diags:?}");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(diags[0].message.contains("v3"), "{diags:?}");
+    assert_eq!(diags[0].path, "fixtures");
+    // Without the key the check is off.
+    let mut diags = Vec::new();
+    rules::consistency::check(&root, &strict_config(), &registry(), &mut diags);
+    assert!(diags.is_empty(), "{diags:?}");
 }
 
 #[test]

@@ -8,8 +8,19 @@
 //! ant's assignment and RNG state, and the round counter — so a
 //! capture taken *mid-timeline* (after kills, spawns, demand steps,
 //! noise switches or trigger firings) resumes exactly where the script
-//! left off. The byte layout, the v2 → … → v7 version history and the
-//! read-compat policy live in `docs/CHECKPOINTS.md`.
+//! left off.
+//!
+//! **One config codec.** Since format v8 the config travels as its
+//! canonical scenario TOML — the exact text of [`SimConfig::to_toml`],
+//! which the durable store also fingerprints — and the live noise model
+//! as a TOML table, both decoded by the scenario codec (the syntactic
+//! path: parameter windows are not re-checked, so out-of-spec engines
+//! capture and restore). Only the dynamic state is binary. Streams
+//! older than v8 carried a hand-written binary config encoding; their
+//! frozen readers live in `checkpoint/legacy.rs`, and every version
+//! shares the trigger-state and per-ant tail readers here. The byte
+//! layout, the v2 → … → v8 version history and the read-compat policy
+//! live in `docs/CHECKPOINTS.md`.
 //!
 //! **Exactness contract.** Controllers are rebuilt from their spec and
 //! `reset_to(assignment)`, plus — since format v5 — a per-kind
@@ -38,37 +49,31 @@
 
 use std::path::Path;
 
-use antalloc_core::{
-    AdversarialScratch, AntParams, ControllerScratch, ExactGreedyParams, PreciseAdversarialParams,
-    PreciseSigmoidParams, ProportionalParams, SigmoidScratch,
-};
-use antalloc_env::{
-    ArenaConfig, Assignment, Condition, Cycle, DemandSchedule, DemandVector, Event, GenShock,
-    InitialConfig, TimedEvent, Timeline, TimelineGen, Trigger, TriggerState,
-};
-use antalloc_noise::{GreyZonePolicy, NoiseModel};
+use antalloc_core::{AdversarialScratch, ControllerScratch, SigmoidScratch};
+use antalloc_env::{Assignment, DemandVector, Timeline, Trigger, TriggerState};
+use antalloc_noise::NoiseModel;
 use bytes::{Buf, BufMut};
 
 use crate::config::{ControllerSpec, SimConfig};
 use crate::engine::SyncEngine;
+use crate::scenario::{config_from_value, noise_from_value, noise_to_value, toml, Value};
+
+mod legacy;
 
 const MAGIC: u32 = 0x414E_5441; // "ANTA"
-/// The current format version. The v2 → … → v7 evolution, what each
+/// The current format version. The v2 → … → v8 evolution, what each
 /// version carries, and the read-compat policy are documented in
-/// `docs/CHECKPOINTS.md`; in short: v7 added the spatial-arena section
-/// (arena config after the initial configuration, per-ant site/travel
-/// columns at the tail), the Proportional controller spec and scratch
-/// tags, the deficit condition tags, the `set-task-demand` event tag,
-/// and per-trigger `prev_deficits`; v6 added the Precise Adversarial
-/// scratch tag to the scratch section (every shipped long-phase kind
-/// now captures mid-phase), v5 appended the per-kind controller
-/// scratch section (Precise Sigmoid mid-phase counters), v4 added
-/// timeline triggers and generators to the timeline codec plus the
+/// `docs/CHECKPOINTS.md`; in short: v8 replaced the binary config
+/// encoding with the canonical scenario TOML (and the live noise model
+/// with a TOML table), v7 added the spatial-arena section, the
+/// Proportional controller and the deficit triggers, v6 added the
+/// Precise Adversarial scratch tag, v5 appended the per-kind controller
+/// scratch section, v4 added timeline triggers and generators plus the
 /// per-trigger runtime state section, v3 replaced the demand schedule
 /// with the event timeline (plus live noise model and cursor), v2
 /// appended mixed-colony bank membership. Writers always emit the
 /// current version; readers accept everything back to [`MIN_VERSION`].
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 const MIN_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be captured or decoded.
@@ -267,21 +272,19 @@ impl Checkpoint {
 
     /// Serializes to the versioned binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
+        let config = self.config.to_toml();
+        let noise = toml::write(&noise_to_value(&self.current_noise));
         let mut out = Vec::with_capacity(64 + self.assignments.len() * 36);
         out.put_u32_le(MAGIC);
         out.put_u32_le(VERSION);
         out.put_u64_le(self.round);
         out.put_u64_le(self.next_stream);
-        out.put_u64_le(self.config.seed);
-        out.put_u64_le(self.config.n as u64);
-        put_u64s(&mut out, &self.config.demands);
+        // v8: the config as its canonical scenario TOML, then the live
+        // environment (a timeline `set-noise` may have switched the noise
+        // model away from the config's).
+        put_text(&mut out, &config);
         put_u64s(&mut out, &self.current_demands);
-        put_noise(&mut out, &self.config.noise);
-        // v3: the live noise model and the timeline (with its cursor)
-        // replace v2's demand schedule.
-        put_noise(&mut out, &self.current_noise);
-        put_spec(&mut out, &self.config.controller);
-        put_timeline(&mut out, &self.config.timeline);
+        put_text(&mut out, &noise);
         out.put_u64_le(self.cursor);
         // v4: the runtime state of every trigger, in timeline order.
         out.put_u64_le(self.trigger_states.len() as u64);
@@ -297,20 +300,6 @@ impl Checkpoint {
             out.put_u64_le(state.prev_deficits.len() as u64);
             for &prev in &state.prev_deficits {
                 out.put_i64_le(prev);
-            }
-        }
-        put_initial(&mut out, &self.config.initial);
-        // v7: the spatial arena, if the scenario pins tasks to sites.
-        match &self.config.arena {
-            None => out.put_u8(0),
-            Some(arena) => {
-                out.put_u8(1);
-                out.put_u64_le(arena.site_of_task.len() as u64);
-                for &site in &arena.site_of_task {
-                    out.put_u32_le(site);
-                }
-                out.put_u32_le(arena.travel_rounds);
-                out.put_f64_le(arena.wander_probability);
             }
         }
         out.put_u64_le(self.assignments.len() as u64);
@@ -394,7 +383,8 @@ impl Checkpoint {
         out
     }
 
-    /// Deserializes from [`Checkpoint::to_bytes`] output.
+    /// Deserializes from [`Checkpoint::to_bytes`] output of this or any
+    /// older supported format version (back to v2).
     pub fn from_bytes(mut buf: &[u8]) -> Result<Self, CheckpointError> {
         let magic = get_u32(&mut buf)?;
         if magic != MAGIC {
@@ -406,429 +396,27 @@ impl Checkpoint {
         }
         let round = get_u64(&mut buf)?;
         let next_stream = get_u64(&mut buf)?;
-        let seed = get_u64(&mut buf)?;
-        let n = get_u64(&mut buf)? as usize;
-        let demands = get_u64s(&mut buf)?;
-        let current_demands = get_u64s(&mut buf)?;
-        let noise = get_noise(&mut buf)?;
-        let current_noise = if version >= 3 {
-            get_noise(&mut buf)?
+        let head = if version < 8 {
+            legacy::read_head(&mut buf, version, round)?
         } else {
-            noise.clone()
+            read_head(&mut buf)?
         };
-        let controller = get_spec(&mut buf)?;
-        let (timeline, cursor) = if version >= 3 {
-            let timeline = get_timeline(&mut buf, version)?;
-            let cursor = get_u64(&mut buf)?;
-            // Reject structurally invalid timelines *before* compiling:
-            // any captured config passed build-time validation, so a
-            // failure here means crafted or corrupted bytes — and a
-            // crafted generator section (start = 0, absurd windows)
-            // must never drive the expansion loop.
-            timeline
-                .validate(demands.len(), n)
-                .and_then(|()| timeline.validate_triggers(demands.len()))
-                .map_err(|e| corrupt(format!("invalid timeline: {e}")))?;
-            // The cursor indexes the *compiled* stream (generated
-            // events included), which re-expands deterministically.
-            let compiled_events = timeline.compile(seed, n, &demands).events.len();
-            if cursor as usize > compiled_events {
-                return Err(corrupt(format!(
-                    "timeline cursor {cursor} exceeds {compiled_events} compiled events"
-                )));
-            }
-            (timeline, cursor)
-        } else {
-            // v2 stored a demand schedule; compile it to the equivalent
-            // timeline and recompute the cursor from the round (both
-            // fire at identical rounds, so the continuation is exact).
-            let timeline: Timeline = get_schedule(&mut buf)?.into();
-            let cursor = timeline.cursor_at(round) as u64;
-            (timeline, cursor)
-        };
-        let trigger_states = if version >= 4 {
-            let count = get_u64(&mut buf)? as usize;
-            if count != timeline.triggers.len() {
-                return Err(corrupt(format!(
-                    "{count} trigger states for {} triggers",
-                    timeline.triggers.len()
-                )));
-            }
-            let mut states = Vec::with_capacity(count.min(1 << 10));
-            for i in 0..count {
-                let firings = get_u64(&mut buf)?;
-                let firings = u32::try_from(firings)
-                    .map_err(|_| corrupt(format!("implausible firing count {firings}")))?;
-                let last_fired = get_u64(&mut buf)?;
-                let pending = get_bool(&mut buf)?;
-                let streak_len = get_u64(&mut buf)? as usize;
-                if streak_len > 1 << 16 {
-                    return Err(corrupt("implausible streak count"));
-                }
-                let mut streaks = Vec::with_capacity(streak_len.min(1 << 10));
-                for _ in 0..streak_len {
-                    streaks.push(get_u32(&mut buf)?);
-                }
-                // v7 appended the rate leaves' last observed deficits;
-                // older captures cannot hold rate conditions, so the
-                // fresh-state default (all unset) is exact.
-                let prev_deficits = if version >= 7 {
-                    let prev_len = get_u64(&mut buf)? as usize;
-                    if prev_len > 1 << 16 {
-                        return Err(corrupt("implausible prev-deficit count"));
-                    }
-                    let mut prevs = Vec::with_capacity(prev_len.min(1 << 10));
-                    for _ in 0..prev_len {
-                        prevs.push(get_i64(&mut buf)?);
-                    }
-                    prevs
-                } else {
-                    TriggerState::new(&timeline.triggers[i]).prev_deficits
-                };
-                let state = TriggerState {
-                    streaks,
-                    firings,
-                    last_fired,
-                    pending,
-                    prev_deficits,
-                };
-                if !state.matches(&timeline.triggers[i]) {
-                    return Err(corrupt(format!(
-                        "trigger state {i} disagrees with its condition shape"
-                    )));
-                }
-                states.push(state);
-            }
-            states
-        } else {
-            // Pre-v4 formats cannot encode triggers, so there is no
-            // state to restore.
-            Vec::new()
-        };
-        let initial = get_initial(&mut buf)?;
-        // v7: the spatial arena (None before v7 — the mode predates it).
-        let arena = if version >= 7 && get_bool(&mut buf)? {
-            let len = get_u64(&mut buf)? as usize;
-            if len != demands.len() {
-                return Err(corrupt(format!(
-                    "arena pins {len} tasks but the scenario has {}",
-                    demands.len()
-                )));
-            }
-            let mut site_of_task = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                site_of_task.push(get_u32(&mut buf)?);
-            }
-            let arena = ArenaConfig {
-                site_of_task,
-                travel_rounds: get_u32(&mut buf)?,
-                wander_probability: get_f64(&mut buf)?,
-            };
-            // Any captured arena passed build-time validation; failure
-            // here means crafted or corrupted bytes.
-            arena
-                .validate(demands.len())
-                .map_err(|e| corrupt(format!("invalid arena: {e}")))?;
-            Some(arena)
-        } else {
-            None
-        };
-        let ants = get_u64(&mut buf)? as usize;
-        // Validate the claimed count against the bytes actually present
-        // (4 per assignment + 32 per RNG state) before any allocation —
-        // a corrupted count must not drive `with_capacity` to OOM.
-        let per_ant = 4usize + 32;
-        if buf.remaining() / per_ant < ants {
+        // Crafted live state must fail here, not panic in `restore()`.
+        let k = head.config.demands.len();
+        if head.current_demands.len() != k || head.current_demands.contains(&0) {
             return Err(corrupt(format!(
-                "ant count {ants} exceeds remaining payload"
+                "current demands must be {k} positive values, got {} values",
+                head.current_demands.len()
             )));
         }
-        let mut assignments = Vec::with_capacity(ants);
-        for i in 0..ants {
-            let raw = get_u32(&mut buf)?;
-            assignments.push(if raw == u32::MAX {
-                Assignment::Idle
-            } else if (raw as usize) < demands.len() {
-                Assignment::Task(raw)
-            } else {
-                // Crafted bytes must fail here, not panic in `restore()`.
-                return Err(corrupt(format!(
-                    "ant {i} is assigned to task {raw} but the scenario has {} tasks",
-                    demands.len()
-                )));
-            });
-        }
-        let mut rng_states = Vec::with_capacity(ants);
-        for _ in 0..ants {
-            let mut s = [0u64; 4];
-            for w in &mut s {
-                *w = get_u64(&mut buf)?;
-            }
-            rng_states.push(s);
-        }
-        let members = if let ControllerSpec::Mix(parts) = &controller {
-            let len = get_u64(&mut buf)? as usize;
-            if len != ants {
-                return Err(corrupt(format!(
-                    "membership length {len} disagrees with ant count {ants}"
-                )));
-            }
-            let mut members = Vec::with_capacity(len);
-            for _ in 0..len {
-                need(&buf, 2)?;
-                let m = buf.get_u16_le();
-                if usize::from(m) >= parts.len() {
-                    return Err(corrupt(format!(
-                        "membership {m} references unknown sub-spec"
-                    )));
-                }
-                members.push(m);
-            }
-            members
-        } else {
-            Vec::new()
-        };
-        let scratch = if version >= 5 {
-            let k = demands.len();
-            let count = get_u64(&mut buf)? as usize;
-            // Minimum per-entry size across the scratch kinds: Precise
-            // Sigmoid is ant id + tag + currentTask + have_phase + two
-            // u16 counter rows + one median-bit row (10 + 5k); Precise
-            // Adversarial is ant id + tag + currentTask + five flag
-            // bytes + one lack-bit row (14 + k); Proportional is ant id
-            // + tag + streak (7). Validate the claimed count against
-            // the bytes present before any allocation.
-            let per_entry = (4 + 1 + 4 + 1 + k * 5)
-                .min(4 + 1 + 4 + 5 + k)
-                .min(4 + 1 + 2);
-            if count > ants || buf.remaining() / per_entry < count {
-                return Err(corrupt(format!(
-                    "scratch count {count} exceeds payload or ant count {ants}"
-                )));
-            }
-            // Which ants may legally carry Precise Sigmoid scratch (and
-            // the phase half-length m bounding their counters): crafted
-            // bytes must fail here, not panic in `restore()`.
-            let sigmoid_m_for = |ant: usize| -> Option<u64> {
-                match &controller {
-                    ControllerSpec::PreciseSigmoid(p) => Some(p.m()),
-                    ControllerSpec::Mix(parts) => {
-                        let b = usize::from(*members.get(ant)?);
-                        match parts.get(b) {
-                            Some((_, ControllerSpec::PreciseSigmoid(p))) => Some(p.m()),
-                            _ => None,
-                        }
-                    }
-                    _ => None,
-                }
-            };
-            // Likewise for Precise Adversarial (v6 scratch): which ants
-            // may legally carry its phase trackers.
-            let adversarial_for = |ant: usize| -> bool {
-                match &controller {
-                    ControllerSpec::PreciseAdversarial(_) => true,
-                    ControllerSpec::Mix(parts) => {
-                        let Some(&m) = members.get(ant) else {
-                            return false;
-                        };
-                        matches!(
-                            parts.get(usize::from(m)),
-                            Some((_, ControllerSpec::PreciseAdversarial(_)))
-                        )
-                    }
-                    _ => false,
-                }
-            };
-            // And for Proportional (v7 scratch): which ants may legally
-            // carry a deadband streak.
-            let proportional_for = |ant: usize| -> bool {
-                match &controller {
-                    ControllerSpec::Proportional(_) => true,
-                    ControllerSpec::Mix(parts) => {
-                        let Some(&m) = members.get(ant) else {
-                            return false;
-                        };
-                        matches!(
-                            parts.get(usize::from(m)),
-                            Some((_, ControllerSpec::Proportional(_)))
-                        )
-                    }
-                    _ => false,
-                }
-            };
-            let mut scratch: Vec<(u32, ControllerScratch)> = Vec::with_capacity(count);
-            for _ in 0..count {
-                let ant = get_u32(&mut buf)?;
-                if ant as usize >= ants {
-                    return Err(corrupt(format!("scratch ant {ant} out of range")));
-                }
-                if let Some(&(prev, _)) = scratch.last() {
-                    if ant <= prev {
-                        return Err(corrupt("scratch entries out of order"));
-                    }
-                }
-                match get_u8(&mut buf)? {
-                    0 => {
-                        let Some(m) = sigmoid_m_for(ant as usize) else {
-                            return Err(corrupt(format!(
-                                "scratch for ant {ant}, which runs no Precise Sigmoid"
-                            )));
-                        };
-                        let raw = get_u32(&mut buf)?;
-                        let current_task = if raw == u32::MAX {
-                            Assignment::Idle
-                        } else if (raw as usize) < k {
-                            Assignment::Task(raw)
-                        } else {
-                            return Err(corrupt(format!("scratch task {raw} out of range")));
-                        };
-                        let have_phase = get_bool(&mut buf)?;
-                        let mut counts = [Vec::with_capacity(k), Vec::with_capacity(k)];
-                        for half in &mut counts {
-                            for _ in 0..k {
-                                need(&buf, 2)?;
-                                let c = buf.get_u16_le();
-                                if u64::from(c) > m {
-                                    return Err(corrupt(format!(
-                                        "scratch counter {c} exceeds half-phase length {m}"
-                                    )));
-                                }
-                                half.push(c);
-                            }
-                        }
-                        let [count1, count2] = counts;
-                        let mut shat1_lack = Vec::with_capacity(k);
-                        for _ in 0..k {
-                            shat1_lack.push(get_u8(&mut buf)? != 0);
-                        }
-                        scratch.push((
-                            ant,
-                            ControllerScratch::PreciseSigmoid(SigmoidScratch {
-                                current_task,
-                                have_phase,
-                                count1,
-                                count2,
-                                shat1_lack,
-                            }),
-                        ));
-                    }
-                    1 => {
-                        if !adversarial_for(ant as usize) {
-                            return Err(corrupt(format!(
-                                "scratch for ant {ant}, which runs no Precise Adversarial"
-                            )));
-                        }
-                        let raw = get_u32(&mut buf)?;
-                        let current_task = if raw == u32::MAX {
-                            Assignment::Idle
-                        } else if (raw as usize) < k {
-                            Assignment::Task(raw)
-                        } else {
-                            return Err(corrupt(format!("scratch task {raw} out of range")));
-                        };
-                        let have_phase = get_bool(&mut buf)?;
-                        let all_overload = get_bool(&mut buf)?;
-                        let frozen_working = get_bool(&mut buf)?;
-                        let pending_first_lack = get_bool(&mut buf)?;
-                        let working_at_first_lack = match get_u8(&mut buf)? {
-                            0 => None,
-                            1 => Some(false),
-                            2 => Some(true),
-                            t => return Err(corrupt(format!("unknown first-lack tri-state {t}"))),
-                        };
-                        let mut all_lack = Vec::with_capacity(k);
-                        for _ in 0..k {
-                            all_lack.push(get_u8(&mut buf)? != 0);
-                        }
-                        scratch.push((
-                            ant,
-                            ControllerScratch::PreciseAdversarial(AdversarialScratch {
-                                current_task,
-                                have_phase,
-                                all_lack,
-                                all_overload,
-                                working_at_first_lack,
-                                pending_first_lack,
-                                frozen_working,
-                            }),
-                        ));
-                    }
-                    2 => {
-                        if !proportional_for(ant as usize) {
-                            return Err(corrupt(format!(
-                                "scratch for ant {ant}, which runs no Proportional controller"
-                            )));
-                        }
-                        need(&buf, 2)?;
-                        let streak = buf.get_u16_le();
-                        scratch.push((ant, ControllerScratch::Proportional(streak)));
-                    }
-                    t => return Err(corrupt(format!("unknown scratch tag {t}"))),
-                }
-            }
-            scratch
-        } else {
-            // Pre-v5 captures were phase-boundary-only: no mid-phase
-            // state existed to serialize.
-            Vec::new()
-        };
-        // v7: the per-ant arena columns close the stream (present iff
-        // the config carries an arena — decided above, so pre-v7 reads
-        // never reach this branch).
-        let (arena_site, arena_travel) = if let Some(cfg) = &arena {
-            let num_sites = cfg.num_sites() as u32;
-            let mut site = Vec::with_capacity(ants);
-            for _ in 0..ants {
-                let s = get_u32(&mut buf)?;
-                if s >= num_sites {
-                    return Err(corrupt(format!(
-                        "arena site {s} out of range (the arena has {num_sites} sites)"
-                    )));
-                }
-                site.push(s);
-            }
-            let mut travel = Vec::with_capacity(ants);
-            for _ in 0..ants {
-                let t = get_u32(&mut buf)?;
-                if t > cfg.travel_rounds {
-                    return Err(corrupt(format!(
-                        "arena travel {t} exceeds the travel latency {}",
-                        cfg.travel_rounds
-                    )));
-                }
-                travel.push(t);
-            }
-            (site, travel)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        head.current_noise
+            .validate(k)
+            .map_err(|e| corrupt(format!("invalid live noise model: {e}")))?;
+        let checkpoint = read_tail(&mut buf, version, head, round, next_stream)?;
         if !buf.is_empty() {
             return Err(corrupt("trailing bytes"));
         }
-        Ok(Self {
-            config: SimConfig {
-                n,
-                demands,
-                noise,
-                controller,
-                seed,
-                timeline,
-                initial,
-                arena,
-            },
-            current_demands,
-            current_noise,
-            cursor,
-            trigger_states,
-            assignments,
-            rng_states,
-            round,
-            next_stream,
-            members,
-            scratch,
-            arena_site,
-            arena_travel,
-        })
+        Ok(checkpoint)
     }
 
     /// Writes the checkpoint to a file.
@@ -847,11 +435,390 @@ impl Checkpoint {
     }
 }
 
+/// Everything a stream carries between the round counters and the
+/// per-ant tail.
+struct Head {
+    config: SimConfig,
+    current_demands: Vec<u64>,
+    current_noise: NoiseModel,
+    cursor: u64,
+    trigger_states: Vec<TriggerState>,
+}
+
+/// Reads a v8 head: the config and the live noise model as TOML
+/// documents, with the binary dynamic state between and after them.
+fn read_head(buf: &mut &[u8]) -> Result<Head, CheckpointError> {
+    // The syntactic decode skips the parameter windows, so out-of-spec
+    // engines restore; `check_config` then runs the structural
+    // validation every engine passed at build time.
+    let (config, _, _) =
+        config_from_value(&get_toml(buf)?).map_err(|e| corrupt(format!("invalid config: {e}")))?;
+    check_config(&config)?;
+    let current_demands = get_u64s(buf)?;
+    let current_noise = noise_from_value(&get_toml(buf)?)
+        .map_err(|e| corrupt(format!("invalid live noise model: {e}")))?;
+    let cursor = get_u64(buf)?;
+    check_cursor(
+        &config.timeline,
+        config.seed,
+        config.n,
+        &config.demands,
+        cursor,
+    )?;
+    let trigger_states = get_trigger_states(buf, VERSION, &config.timeline.triggers)?;
+    Ok(Head {
+        config,
+        current_demands,
+        current_noise,
+        cursor,
+        trigger_states,
+    })
+}
+
+/// Structural validation of a decoded config (timeline, triggers,
+/// arena, mix shape, …), the check both engines run at build time: a
+/// captured config passed it, so a failure means crafted or corrupted
+/// bytes. It runs before any timeline is compiled, so a crafted
+/// generator section never drives the expansion loop.
+fn check_config(config: &SimConfig) -> Result<(), CheckpointError> {
+    config
+        .validate_structure()
+        .map_err(|e| corrupt(format!("invalid config: {e}")))
+}
+
+/// Bounds the one-shot cursor, which indexes the *compiled* stream
+/// (generated events included; they re-expand deterministically).
+/// Callers validate the timeline first.
+fn check_cursor(
+    timeline: &Timeline,
+    seed: u64,
+    n: usize,
+    demands: &[u64],
+    cursor: u64,
+) -> Result<(), CheckpointError> {
+    let compiled_events = timeline.compile(seed, n, demands).events.len();
+    if cursor as usize > compiled_events {
+        return Err(corrupt(format!(
+            "timeline cursor {cursor} exceeds {compiled_events} compiled events"
+        )));
+    }
+    Ok(())
+}
+
+/// Reads the runtime state of every trigger (v4+), one record per
+/// trigger in timeline order; v7 appended each record's deficit history.
+fn get_trigger_states(
+    buf: &mut &[u8],
+    version: u32,
+    triggers: &[Trigger],
+) -> Result<Vec<TriggerState>, CheckpointError> {
+    let count = get_u64(buf)? as usize;
+    if count != triggers.len() {
+        return Err(corrupt(format!(
+            "{count} trigger states for {} triggers",
+            triggers.len()
+        )));
+    }
+    let mut states = Vec::with_capacity(count);
+    for (i, trigger) in triggers.iter().enumerate() {
+        let firings = get_u64(buf)?;
+        let firings = u32::try_from(firings)
+            .map_err(|_| corrupt(format!("implausible firing count {firings}")))?;
+        let last_fired = get_u64(buf)?;
+        let pending = get_bool(buf)?;
+        let streak_len = get_u64(buf)? as usize;
+        if streak_len > 1 << 16 {
+            return Err(corrupt("implausible streak count"));
+        }
+        let mut streaks = Vec::with_capacity(streak_len.min(1 << 10));
+        for _ in 0..streak_len {
+            streaks.push(get_u32(buf)?);
+        }
+        // Older captures cannot hold rate conditions, so the fresh-state
+        // default (all unset) is exact.
+        let prev_deficits = if version >= 7 {
+            let prev_len = get_u64(buf)? as usize;
+            if prev_len > 1 << 16 {
+                return Err(corrupt("implausible prev-deficit count"));
+            }
+            let mut prevs = Vec::with_capacity(prev_len.min(1 << 10));
+            for _ in 0..prev_len {
+                prevs.push(get_i64(buf)?);
+            }
+            prevs
+        } else {
+            TriggerState::new(trigger).prev_deficits
+        };
+        let state = TriggerState {
+            streaks,
+            firings,
+            last_fired,
+            pending,
+            prev_deficits,
+        };
+        if !state.matches(trigger) {
+            return Err(corrupt(format!(
+                "trigger state {i} disagrees with its condition shape"
+            )));
+        }
+        states.push(state);
+    }
+    Ok(states)
+}
+
+/// Reads the per-ant tail every version shares — assignments, RNG
+/// states, `Mix` membership (v2), controller scratch (v5) and arena
+/// columns (v7) — and assembles the checkpoint.
+fn read_tail(
+    buf: &mut &[u8],
+    version: u32,
+    head: Head,
+    round: u64,
+    next_stream: u64,
+) -> Result<Checkpoint, CheckpointError> {
+    let k = head.config.demands.len();
+    let controller = &head.config.controller;
+    let ants = get_u64(buf)? as usize;
+    // Validate the claimed count against the bytes actually present
+    // (4 per assignment + 32 per RNG state) before any allocation —
+    // a corrupted count must not drive `with_capacity` to OOM.
+    let per_ant = 4usize + 32;
+    if buf.remaining() / per_ant < ants {
+        return Err(corrupt(format!(
+            "ant count {ants} exceeds remaining payload"
+        )));
+    }
+    let mut assignments = Vec::with_capacity(ants);
+    for i in 0..ants {
+        let raw = get_u32(buf)?;
+        assignments.push(if raw == u32::MAX {
+            Assignment::Idle
+        } else if (raw as usize) < k {
+            Assignment::Task(raw)
+        } else {
+            // Crafted bytes must fail here, not panic in `restore()`.
+            return Err(corrupt(format!(
+                "ant {i} is assigned to task {raw} but the scenario has {k} tasks"
+            )));
+        });
+    }
+    let mut rng_states = Vec::with_capacity(ants);
+    for _ in 0..ants {
+        let mut s = [0u64; 4];
+        for w in &mut s {
+            *w = get_u64(buf)?;
+        }
+        rng_states.push(s);
+    }
+    let members = if let ControllerSpec::Mix(parts) = controller {
+        let len = get_u64(buf)? as usize;
+        if len != ants {
+            return Err(corrupt(format!(
+                "membership length {len} disagrees with ant count {ants}"
+            )));
+        }
+        let mut members = Vec::with_capacity(len);
+        for _ in 0..len {
+            let m = get_u16(buf)?;
+            if usize::from(m) >= parts.len() {
+                return Err(corrupt(format!(
+                    "membership {m} references unknown sub-spec"
+                )));
+            }
+            members.push(m);
+        }
+        members
+    } else {
+        Vec::new()
+    };
+    let scratch = if version >= 5 {
+        let count = get_u64(buf)? as usize;
+        // Minimum per-entry size across the scratch kinds: Precise
+        // Sigmoid is ant id + tag + currentTask + have_phase + two
+        // u16 counter rows + one median-bit row (10 + 5k); Precise
+        // Adversarial is ant id + tag + currentTask + five flag
+        // bytes + one lack-bit row (14 + k); Proportional is ant id
+        // + tag + streak (7). Validate the claimed count against
+        // the bytes present before any allocation.
+        let per_entry = (4 + 1 + 4 + 1 + k * 5)
+            .min(4 + 1 + 4 + 5 + k)
+            .min(4 + 1 + 2);
+        if count > ants || buf.remaining() / per_entry < count {
+            return Err(corrupt(format!(
+                "scratch count {count} exceeds payload or ant count {ants}"
+            )));
+        }
+        // The spec each ant runs: crafted scratch for an ant of another
+        // kind must fail here, not panic in `restore()`.
+        let spec_of = |ant: usize| -> Option<&ControllerSpec> {
+            match controller {
+                ControllerSpec::Mix(parts) => {
+                    let m = usize::from(*members.get(ant)?);
+                    parts.get(m).map(|(_, spec)| spec)
+                }
+                spec => Some(spec),
+            }
+        };
+        let mut scratch: Vec<(u32, ControllerScratch)> = Vec::with_capacity(count);
+        for _ in 0..count {
+            let ant = get_u32(buf)?;
+            if ant as usize >= ants {
+                return Err(corrupt(format!("scratch ant {ant} out of range")));
+            }
+            if let Some(&(prev, _)) = scratch.last() {
+                if ant <= prev {
+                    return Err(corrupt("scratch entries out of order"));
+                }
+            }
+            let spec = spec_of(ant as usize);
+            let entry = match get_u8(buf)? {
+                0 => {
+                    // The phase half-length m bounds the counters.
+                    let Some(ControllerSpec::PreciseSigmoid(p)) = spec else {
+                        return Err(corrupt(format!(
+                            "scratch for ant {ant}, which runs no Precise Sigmoid"
+                        )));
+                    };
+                    let m = p.m();
+                    let current_task = get_scratch_task(buf, k)?;
+                    let have_phase = get_bool(buf)?;
+                    let mut counts = [Vec::with_capacity(k), Vec::with_capacity(k)];
+                    for half in &mut counts {
+                        for _ in 0..k {
+                            let c = get_u16(buf)?;
+                            if u64::from(c) > m {
+                                return Err(corrupt(format!(
+                                    "scratch counter {c} exceeds half-phase length {m}"
+                                )));
+                            }
+                            half.push(c);
+                        }
+                    }
+                    let [count1, count2] = counts;
+                    let mut shat1_lack = Vec::with_capacity(k);
+                    for _ in 0..k {
+                        shat1_lack.push(get_u8(buf)? != 0);
+                    }
+                    ControllerScratch::PreciseSigmoid(SigmoidScratch {
+                        current_task,
+                        have_phase,
+                        count1,
+                        count2,
+                        shat1_lack,
+                    })
+                }
+                1 => {
+                    if !matches!(spec, Some(ControllerSpec::PreciseAdversarial(_))) {
+                        return Err(corrupt(format!(
+                            "scratch for ant {ant}, which runs no Precise Adversarial"
+                        )));
+                    }
+                    let current_task = get_scratch_task(buf, k)?;
+                    let have_phase = get_bool(buf)?;
+                    let all_overload = get_bool(buf)?;
+                    let frozen_working = get_bool(buf)?;
+                    let pending_first_lack = get_bool(buf)?;
+                    let working_at_first_lack = match get_u8(buf)? {
+                        0 => None,
+                        1 => Some(false),
+                        2 => Some(true),
+                        t => return Err(corrupt(format!("unknown first-lack tri-state {t}"))),
+                    };
+                    let mut all_lack = Vec::with_capacity(k);
+                    for _ in 0..k {
+                        all_lack.push(get_u8(buf)? != 0);
+                    }
+                    ControllerScratch::PreciseAdversarial(AdversarialScratch {
+                        current_task,
+                        have_phase,
+                        all_lack,
+                        all_overload,
+                        working_at_first_lack,
+                        pending_first_lack,
+                        frozen_working,
+                    })
+                }
+                2 => {
+                    if !matches!(spec, Some(ControllerSpec::Proportional(_))) {
+                        return Err(corrupt(format!(
+                            "scratch for ant {ant}, which runs no Proportional controller"
+                        )));
+                    }
+                    ControllerScratch::Proportional(get_u16(buf)?)
+                }
+                t => return Err(corrupt(format!("unknown scratch tag {t}"))),
+            };
+            scratch.push((ant, entry));
+        }
+        scratch
+    } else {
+        // Pre-v5 captures were phase-boundary-only: no mid-phase
+        // state existed to serialize.
+        Vec::new()
+    };
+    // v7: the per-ant arena columns close the stream (present iff the
+    // config carries an arena, which pre-v7 configs never do).
+    let (arena_site, arena_travel) = if let Some(cfg) = &head.config.arena {
+        let num_sites = cfg.num_sites() as u32;
+        let mut site = Vec::with_capacity(ants);
+        for _ in 0..ants {
+            let s = get_u32(buf)?;
+            if s >= num_sites {
+                return Err(corrupt(format!(
+                    "arena site {s} out of range (the arena has {num_sites} sites)"
+                )));
+            }
+            site.push(s);
+        }
+        let mut travel = Vec::with_capacity(ants);
+        for _ in 0..ants {
+            let t = get_u32(buf)?;
+            if t > cfg.travel_rounds {
+                return Err(corrupt(format!(
+                    "arena travel {t} exceeds the travel latency {}",
+                    cfg.travel_rounds
+                )));
+            }
+            travel.push(t);
+        }
+        (site, travel)
+    } else {
+        (Vec::new(), Vec::new())
+    };
+    Ok(Checkpoint {
+        config: head.config,
+        current_demands: head.current_demands,
+        current_noise: head.current_noise,
+        cursor: head.cursor,
+        trigger_states: head.trigger_states,
+        assignments,
+        rng_states,
+        round,
+        next_stream,
+        members,
+        scratch,
+        arena_site,
+        arena_travel,
+    })
+}
+
+/// A scratch entry's `currentTask`: idle or a task index below `k`.
+fn get_scratch_task(buf: &mut &[u8], k: usize) -> Result<Assignment, CheckpointError> {
+    let raw = get_u32(buf)?;
+    if raw == u32::MAX {
+        Ok(Assignment::Idle)
+    } else if (raw as usize) < k {
+        Ok(Assignment::Task(raw))
+    } else {
+        Err(corrupt(format!("scratch task {raw} out of range")))
+    }
+}
+
 fn corrupt(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(msg.into())
 }
 
-// ---- primitive readers (length-checked) --------------------------------
+// ---- primitive codecs (readers length-checked) --------------------------
 
 fn need(buf: &&[u8], n: usize) -> Result<(), CheckpointError> {
     if buf.remaining() < n {
@@ -859,6 +826,11 @@ fn need(buf: &&[u8], n: usize) -> Result<(), CheckpointError> {
     } else {
         Ok(())
     }
+}
+
+fn get_u16(buf: &mut &[u8]) -> Result<u16, CheckpointError> {
+    need(buf, 2)?;
+    Ok(buf.get_u16_le())
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32, CheckpointError> {
@@ -909,577 +881,38 @@ fn get_u64s(buf: &mut &[u8]) -> Result<Vec<u64>, CheckpointError> {
     Ok(xs)
 }
 
-// ---- enum codecs --------------------------------------------------------
-
-fn put_noise(out: &mut Vec<u8>, noise: &NoiseModel) {
-    match noise {
-        NoiseModel::Sigmoid { lambda } => {
-            out.put_u8(0);
-            out.put_f64_le(*lambda);
-        }
-        NoiseModel::CorrelatedSigmoid { lambda, rho, seed } => {
-            out.put_u8(1);
-            out.put_f64_le(*lambda);
-            out.put_f64_le(*rho);
-            out.put_u64_le(*seed);
-        }
-        NoiseModel::Adversarial { gamma_ad, policy } => {
-            out.put_u8(2);
-            out.put_f64_le(*gamma_ad);
-            put_policy(out, policy);
-        }
-        NoiseModel::Exact => out.put_u8(3),
-    }
+/// Writes a length-prefixed UTF-8 text section (v8's TOML documents).
+fn put_text(out: &mut Vec<u8>, text: &str) {
+    out.put_u64_le(text.len() as u64);
+    out.extend_from_slice(text.as_bytes());
 }
 
-fn get_noise(buf: &mut &[u8]) -> Result<NoiseModel, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => NoiseModel::Sigmoid {
-            lambda: get_f64(buf)?,
-        },
-        1 => NoiseModel::CorrelatedSigmoid {
-            lambda: get_f64(buf)?,
-            rho: get_f64(buf)?,
-            seed: get_u64(buf)?,
-        },
-        2 => NoiseModel::Adversarial {
-            gamma_ad: get_f64(buf)?,
-            policy: get_policy(buf)?,
-        },
-        3 => NoiseModel::Exact,
-        t => return Err(corrupt(format!("unknown noise tag {t}"))),
-    })
-}
-
-fn put_policy(out: &mut Vec<u8>, policy: &GreyZonePolicy) {
-    match policy {
-        GreyZonePolicy::AlwaysLack => out.put_u8(0),
-        GreyZonePolicy::AlwaysOverload => out.put_u8(1),
-        GreyZonePolicy::Truthful => out.put_u8(2),
-        GreyZonePolicy::Inverted => out.put_u8(3),
-        GreyZonePolicy::AlternateByRound => out.put_u8(4),
-        GreyZonePolicy::RandomLack(p) => {
-            out.put_u8(5);
-            out.put_f64_le(*p);
-        }
-        GreyZonePolicy::LoadThreshold(thresholds) => {
-            out.put_u8(6);
-            put_u64s(out, thresholds);
-        }
-    }
-}
-
-fn get_policy(buf: &mut &[u8]) -> Result<GreyZonePolicy, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => GreyZonePolicy::AlwaysLack,
-        1 => GreyZonePolicy::AlwaysOverload,
-        2 => GreyZonePolicy::Truthful,
-        3 => GreyZonePolicy::Inverted,
-        4 => GreyZonePolicy::AlternateByRound,
-        5 => GreyZonePolicy::RandomLack(get_f64(buf)?),
-        6 => GreyZonePolicy::LoadThreshold(get_u64s(buf)?),
-        t => return Err(corrupt(format!("unknown policy tag {t}"))),
-    })
-}
-
-fn put_spec(out: &mut Vec<u8>, spec: &ControllerSpec) {
-    match spec {
-        ControllerSpec::Ant(p) => {
-            out.put_u8(0);
-            out.put_f64_le(p.gamma);
-            out.put_f64_le(p.cs);
-            out.put_f64_le(p.cd);
-        }
-        ControllerSpec::PreciseSigmoid(p) => {
-            out.put_u8(1);
-            out.put_f64_le(p.gamma);
-            out.put_f64_le(p.eps);
-            out.put_f64_le(p.c_chi);
-            out.put_f64_le(p.cs);
-            out.put_f64_le(p.cd);
-            out.put_u8(u8::from(p.paper_literal_leave_prob));
-        }
-        ControllerSpec::PreciseAdversarial(p) => {
-            out.put_u8(2);
-            out.put_f64_le(p.gamma);
-            out.put_f64_le(p.eps);
-        }
-        ControllerSpec::Trivial => out.put_u8(3),
-        ControllerSpec::ExactGreedy(p) => {
-            out.put_u8(4);
-            out.put_f64_le(p.p_join);
-            out.put_f64_le(p.p_leave);
-        }
-        ControllerSpec::Hysteresis { depth, lazy } => {
-            out.put_u8(5);
-            out.put_u16_le(*depth);
-            match lazy {
-                None => out.put_u8(0),
-                Some(p) => {
-                    out.put_u8(1);
-                    out.put_f64_le(*p);
-                }
-            }
-        }
-        ControllerSpec::AntDesync(p) => {
-            out.put_u8(6);
-            out.put_f64_le(p.gamma);
-            out.put_f64_le(p.cs);
-            out.put_f64_le(p.cd);
-        }
-        ControllerSpec::Mix(parts) => {
-            out.put_u8(7);
-            out.put_u64_le(parts.len() as u64);
-            for (weight, sub) in parts {
-                out.put_f64_le(*weight);
-                put_spec(out, sub);
-            }
-        }
-        // v7: the proportional-control rival.
-        ControllerSpec::Proportional(p) => {
-            out.put_u8(8);
-            out.put_f64_le(p.gain);
-            out.put_u16_le(p.deadband);
-        }
-    }
-}
-
-fn get_spec(buf: &mut &[u8]) -> Result<ControllerSpec, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => ControllerSpec::Ant(AntParams {
-            gamma: get_f64(buf)?,
-            cs: get_f64(buf)?,
-            cd: get_f64(buf)?,
-        }),
-        1 => ControllerSpec::PreciseSigmoid(PreciseSigmoidParams {
-            gamma: get_f64(buf)?,
-            eps: get_f64(buf)?,
-            c_chi: get_f64(buf)?,
-            cs: get_f64(buf)?,
-            cd: get_f64(buf)?,
-            paper_literal_leave_prob: get_bool(buf)?,
-        }),
-        2 => ControllerSpec::PreciseAdversarial(PreciseAdversarialParams {
-            gamma: get_f64(buf)?,
-            eps: get_f64(buf)?,
-        }),
-        3 => ControllerSpec::Trivial,
-        4 => ControllerSpec::ExactGreedy(ExactGreedyParams {
-            p_join: get_f64(buf)?,
-            p_leave: get_f64(buf)?,
-        }),
-        5 => {
-            need(buf, 2)?;
-            let depth = buf.get_u16_le();
-            let lazy = if get_bool(buf)? {
-                Some(get_f64(buf)?)
-            } else {
-                None
-            };
-            ControllerSpec::Hysteresis { depth, lazy }
-        }
-        6 => ControllerSpec::AntDesync(AntParams {
-            gamma: get_f64(buf)?,
-            cs: get_f64(buf)?,
-            cd: get_f64(buf)?,
-        }),
-        7 => {
-            let len = get_u64(buf)? as usize;
-            if len == 0 || len > u16::MAX as usize {
-                return Err(corrupt(format!("implausible mix arity {len}")));
-            }
-            let mut parts = Vec::with_capacity(len.min(1 << 10));
-            for _ in 0..len {
-                let weight = get_f64(buf)?;
-                let sub = get_spec(buf)?;
-                if matches!(sub, ControllerSpec::Mix(_)) {
-                    return Err(corrupt("nested mix in checkpoint"));
-                }
-                parts.push((weight, sub));
-            }
-            ControllerSpec::Mix(parts)
-        }
-        8 => {
-            let gain = get_f64(buf)?;
-            need(buf, 2)?;
-            let deadband = buf.get_u16_le();
-            ControllerSpec::Proportional(ProportionalParams { gain, deadband })
-        }
-        t => return Err(corrupt(format!("unknown controller tag {t}"))),
-    })
-}
-
-/// v2 read-compat only: v3 writes timelines instead.
-fn get_schedule(buf: &mut &[u8]) -> Result<DemandSchedule, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => DemandSchedule::Static,
-        1 => DemandSchedule::Step {
-            at: get_u64(buf)?,
-            demands: get_u64s(buf)?,
-        },
-        2 => {
-            let len = get_u64(buf)? as usize;
-            let mut steps = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                steps.push((get_u64(buf)?, get_u64s(buf)?));
-            }
-            DemandSchedule::Steps(steps)
-        }
-        3 => DemandSchedule::Alternating {
-            a: get_u64s(buf)?,
-            b: get_u64s(buf)?,
-            half_period: get_u64(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown schedule tag {t}"))),
-    })
-}
-
-fn put_event(out: &mut Vec<u8>, event: &Event) {
-    match event {
-        Event::SetDemands(demands) => {
-            out.put_u8(0);
-            put_u64s(out, demands);
-        }
-        Event::Kill { count } => {
-            out.put_u8(1);
-            out.put_u64_le(*count as u64);
-        }
-        Event::Spawn { count } => {
-            out.put_u8(2);
-            out.put_u64_le(*count as u64);
-        }
-        Event::Scramble => out.put_u8(3),
-        Event::StampedeTo(j) => {
-            out.put_u8(4);
-            out.put_u64_le(*j as u64);
-        }
-        Event::SetNoise(model) => {
-            out.put_u8(5);
-            put_noise(out, model);
-        }
-        // v7: the arena experiments' site-local demand shock.
-        Event::SetTaskDemand { task, demand } => {
-            out.put_u8(6);
-            out.put_u64_le(*task as u64);
-            out.put_u64_le(*demand);
-        }
-    }
-}
-
-fn get_event(buf: &mut &[u8]) -> Result<Event, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => Event::SetDemands(get_u64s(buf)?),
-        1 => Event::Kill {
-            count: get_u64(buf)? as usize,
-        },
-        2 => Event::Spawn {
-            count: get_u64(buf)? as usize,
-        },
-        3 => Event::Scramble,
-        4 => Event::StampedeTo(get_u64(buf)? as usize),
-        5 => Event::SetNoise(get_noise(buf)?),
-        6 => Event::SetTaskDemand {
-            task: get_u64(buf)? as usize,
-            demand: get_u64(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown event tag {t}"))),
-    })
-}
-
-fn put_timeline(out: &mut Vec<u8>, timeline: &Timeline) {
-    out.put_u64_le(timeline.events.len() as u64);
-    for timed in &timeline.events {
-        out.put_u64_le(timed.at);
-        put_event(out, &timed.event);
-    }
-    out.put_u64_le(timeline.cycles.len() as u64);
-    for cycle in &timeline.cycles {
-        out.put_u64_le(cycle.start);
-        out.put_u64_le(cycle.period);
-        out.put_u64_le(cycle.events.len() as u64);
-        for event in &cycle.events {
-            put_event(out, event);
-        }
-    }
-    // v4: triggers and generators follow the cycles.
-    out.put_u64_le(timeline.triggers.len() as u64);
-    for trigger in &timeline.triggers {
-        put_condition(out, &trigger.when);
-        put_event(out, &trigger.event);
-        out.put_u64_le(trigger.cooldown);
-        out.put_u64_le(u64::from(trigger.max_firings));
-    }
-    out.put_u64_le(timeline.generators.len() as u64);
-    for generator in &timeline.generators {
-        out.put_u64_le(generator.start);
-        out.put_u64_le(generator.until);
-        out.put_f64_le(generator.mean_gap);
-        put_gen_shock(out, &generator.shock);
-    }
-}
-
-fn get_timeline(buf: &mut &[u8], version: u32) -> Result<Timeline, CheckpointError> {
-    let len = get_u64(buf)? as usize;
-    if len > 1 << 32 {
-        return Err(corrupt("implausible timeline length"));
-    }
-    let mut events = Vec::with_capacity(len.min(1 << 16));
-    for _ in 0..len {
-        events.push(TimedEvent {
-            at: get_u64(buf)?,
-            event: get_event(buf)?,
-        });
-    }
-    let cycles_len = get_u64(buf)? as usize;
-    if cycles_len > 1 << 20 {
-        return Err(corrupt("implausible cycle count"));
-    }
-    let mut cycles = Vec::with_capacity(cycles_len.min(1 << 10));
-    for _ in 0..cycles_len {
-        let start = get_u64(buf)?;
-        let period = get_u64(buf)?;
-        let n_events = get_u64(buf)? as usize;
-        if n_events > 1 << 20 {
-            return Err(corrupt("implausible cycle event count"));
-        }
-        let mut cycle_events = Vec::with_capacity(n_events.min(1 << 10));
-        for _ in 0..n_events {
-            cycle_events.push(get_event(buf)?);
-        }
-        cycles.push(Cycle {
-            start,
-            period,
-            events: cycle_events,
-        });
-    }
-    // v3 timelines end here; v4 appended triggers and generators.
-    let (triggers, generators) = if version >= 4 {
-        let trigger_len = get_u64(buf)? as usize;
-        if trigger_len > 1 << 16 {
-            return Err(corrupt("implausible trigger count"));
-        }
-        let mut triggers = Vec::with_capacity(trigger_len.min(1 << 10));
-        for _ in 0..trigger_len {
-            let when = get_condition(buf, 0)?;
-            let event = get_event(buf)?;
-            let cooldown = get_u64(buf)?;
-            let max_firings = get_u64(buf)?;
-            let max_firings = u32::try_from(max_firings)
-                .map_err(|_| corrupt(format!("implausible max_firings {max_firings}")))?;
-            triggers.push(Trigger {
-                when,
-                event,
-                cooldown,
-                max_firings,
-            });
-        }
-        let gen_len = get_u64(buf)? as usize;
-        if gen_len > 1 << 16 {
-            return Err(corrupt("implausible generator count"));
-        }
-        let mut generators = Vec::with_capacity(gen_len.min(1 << 10));
-        for _ in 0..gen_len {
-            generators.push(TimelineGen {
-                start: get_u64(buf)?,
-                until: get_u64(buf)?,
-                mean_gap: get_f64(buf)?,
-                shock: get_gen_shock(buf)?,
-            });
-        }
-        (triggers, generators)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    Ok(Timeline {
-        events,
-        cycles,
-        triggers,
-        generators,
-    })
-}
-
-fn put_condition(out: &mut Vec<u8>, condition: &Condition) {
-    match condition {
-        Condition::RegretAbove {
-            threshold,
-            for_rounds,
-        } => {
-            out.put_u8(0);
-            out.put_u64_le(*threshold);
-            out.put_u32_le(*for_rounds);
-        }
-        Condition::RegretBelow {
-            threshold,
-            for_rounds,
-        } => {
-            out.put_u8(1);
-            out.put_u64_le(*threshold);
-            out.put_u32_le(*for_rounds);
-        }
-        Condition::PopulationBelow { threshold } => {
-            out.put_u8(2);
-            out.put_u64_le(*threshold as u64);
-        }
-        Condition::RoundReached { round } => {
-            out.put_u8(3);
-            out.put_u64_le(*round);
-        }
-        Condition::And(a, b) => {
-            out.put_u8(4);
-            put_condition(out, a);
-            put_condition(out, b);
-        }
-        Condition::Or(a, b) => {
-            out.put_u8(5);
-            put_condition(out, a);
-            put_condition(out, b);
-        }
-        // v7: per-task deficit conditions.
-        Condition::DeficitAbove {
-            task,
-            threshold,
-            for_rounds,
-        } => {
-            out.put_u8(6);
-            out.put_u64_le(*task as u64);
-            out.put_i64_le(*threshold);
-            out.put_u32_le(*for_rounds);
-        }
-        Condition::DeficitRateAbove {
-            task,
-            min_rise,
-            for_rounds,
-        } => {
-            out.put_u8(7);
-            out.put_u64_le(*task as u64);
-            out.put_i64_le(*min_rise);
-            out.put_u32_le(*for_rounds);
-        }
-    }
-}
-
-/// `depth` guards the recursion: a crafted byte stream of nested
-/// `And` tags must error out, not blow the stack.
-fn get_condition(buf: &mut &[u8], depth: u32) -> Result<Condition, CheckpointError> {
-    if depth > 64 {
-        return Err(corrupt("condition nesting too deep"));
-    }
-    Ok(match get_u8(buf)? {
-        0 => Condition::RegretAbove {
-            threshold: get_u64(buf)?,
-            for_rounds: get_u32(buf)?,
-        },
-        1 => Condition::RegretBelow {
-            threshold: get_u64(buf)?,
-            for_rounds: get_u32(buf)?,
-        },
-        2 => Condition::PopulationBelow {
-            threshold: get_u64(buf)? as usize,
-        },
-        3 => Condition::RoundReached {
-            round: get_u64(buf)?,
-        },
-        4 => Condition::And(
-            Box::new(get_condition(buf, depth + 1)?),
-            Box::new(get_condition(buf, depth + 1)?),
-        ),
-        5 => Condition::Or(
-            Box::new(get_condition(buf, depth + 1)?),
-            Box::new(get_condition(buf, depth + 1)?),
-        ),
-        6 => Condition::DeficitAbove {
-            task: get_u64(buf)? as usize,
-            threshold: get_i64(buf)?,
-            for_rounds: get_u32(buf)?,
-        },
-        7 => Condition::DeficitRateAbove {
-            task: get_u64(buf)? as usize,
-            min_rise: get_i64(buf)?,
-            for_rounds: get_u32(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown condition tag {t}"))),
-    })
-}
-
-fn put_gen_shock(out: &mut Vec<u8>, shock: &GenShock) {
-    match shock {
-        GenShock::Kill { min_frac, max_frac } => {
-            out.put_u8(0);
-            out.put_f64_le(*min_frac);
-            out.put_f64_le(*max_frac);
-        }
-        GenShock::Spawn { min_frac, max_frac } => {
-            out.put_u8(1);
-            out.put_f64_le(*min_frac);
-            out.put_f64_le(*max_frac);
-        }
-        GenShock::Scramble => out.put_u8(2),
-        GenShock::DemandStep {
-            min_factor,
-            max_factor,
-        } => {
-            out.put_u8(3);
-            out.put_f64_le(*min_factor);
-            out.put_f64_le(*max_factor);
-        }
-    }
-}
-
-fn get_gen_shock(buf: &mut &[u8]) -> Result<GenShock, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => GenShock::Kill {
-            min_frac: get_f64(buf)?,
-            max_frac: get_f64(buf)?,
-        },
-        1 => GenShock::Spawn {
-            min_frac: get_f64(buf)?,
-            max_frac: get_f64(buf)?,
-        },
-        2 => GenShock::Scramble,
-        3 => GenShock::DemandStep {
-            min_factor: get_f64(buf)?,
-            max_factor: get_f64(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown generator shock tag {t}"))),
-    })
-}
-
-fn put_initial(out: &mut Vec<u8>, initial: &InitialConfig) {
-    match initial {
-        InitialConfig::AllIdle => out.put_u8(0),
-        InitialConfig::AllOnTask(j) => {
-            out.put_u8(1);
-            out.put_u64_le(*j as u64);
-        }
-        InitialConfig::UniformRandom => out.put_u8(2),
-        InitialConfig::Saturated => out.put_u8(3),
-        InitialConfig::Inverted => out.put_u8(4),
-        InitialConfig::SaturatedPlus { extra } => {
-            out.put_u8(5);
-            out.put_u64_le(*extra);
-        }
-    }
-}
-
-fn get_initial(buf: &mut &[u8]) -> Result<InitialConfig, CheckpointError> {
-    Ok(match get_u8(buf)? {
-        0 => InitialConfig::AllIdle,
-        1 => InitialConfig::AllOnTask(get_u64(buf)? as usize),
-        2 => InitialConfig::UniformRandom,
-        3 => InitialConfig::Saturated,
-        4 => InitialConfig::Inverted,
-        5 => InitialConfig::SaturatedPlus {
-            extra: get_u64(buf)?,
-        },
-        t => return Err(corrupt(format!("unknown initial-config tag {t}"))),
-    })
+/// Reads a [`put_text`] section and parses it as TOML. Bad UTF-8 and
+/// parse errors (the parser caps nesting, so hostile text cannot
+/// overflow the stack) come back as [`CheckpointError::Corrupt`].
+fn get_toml(buf: &mut &[u8]) -> Result<Value, CheckpointError> {
+    let len = get_u64(buf)?;
+    let len = usize::try_from(len)
+        .ok()
+        .filter(|&len| len <= buf.len())
+        .ok_or_else(|| corrupt(format!("truncated: text section of {len} bytes")))?;
+    let (text, rest) = buf.split_at(len);
+    *buf = rest;
+    let text = std::str::from_utf8(text)
+        .map_err(|e| corrupt(format!("text section is not UTF-8: {e}")))?;
+    toml::parse(text).map_err(|e| corrupt(format!("embedded TOML: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::observer::NullObserver;
-    use antalloc_core::AntParams;
+    use antalloc_core::{
+        AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
+        ProportionalParams,
+    };
+    use antalloc_env::{ArenaConfig, Condition, DemandSchedule, Event, InitialConfig};
+    use antalloc_noise::GreyZonePolicy;
 
     fn config() -> SimConfig {
         SimConfig::builder(200, vec![30, 40])
@@ -1596,19 +1029,197 @@ mod tests {
     fn random_byte_mutations_never_panic() {
         // Fuzz the decoder: flipping any single byte must yield either a
         // clean error or a decoded checkpoint — never a panic. (Length
-        // fields are validated before allocation.)
-        let mut e = config().build();
+        // fields are validated before allocation.) In v8 the first
+        // bytes are mostly TOML text, so the flips also stride across
+        // the whole stream to reach the binary tail: assignments, RNG
+        // states, mix membership, scratch and arena columns.
         let mut obs = NullObserver;
-        e.run(4, &mut obs);
-        let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
-        for i in 0..bytes.len().min(512) {
-            let mut mutated = bytes.clone();
-            mutated[i] ^= 0x5A;
-            let _ = Checkpoint::from_bytes(&mutated);
+        let mut plain = config().build();
+        plain.run(4, &mut obs);
+        let mut rich = out_of_spec_config().build();
+        rich.run(14, &mut obs);
+        for engine in [&plain, &rich] {
+            let bytes = Checkpoint::capture(engine).unwrap().to_bytes();
+            for i in (0..bytes.len()).filter(|&i| i < 512 || i % 7 == 0) {
+                let mut mutated = bytes.clone();
+                mutated[i] ^= 0x5A;
+                let _ = Checkpoint::from_bytes(&mutated);
+            }
+            // Random truncations likewise.
+            for len in [0usize, 1, 7, 8, 9, bytes.len() / 2, bytes.len() - 1] {
+                let _ = Checkpoint::from_bytes(&bytes[..len]);
+            }
         }
-        // Random truncations likewise.
-        for len in [0usize, 1, 7, 8, 9, bytes.len() / 2, bytes.len() - 1] {
-            let _ = Checkpoint::from_bytes(&bytes[..len]);
+    }
+
+    /// A config outside the parameter windows (Ant with γ > 1/16,
+    /// Hysteresis watching two tasks) whose stream carries every tail
+    /// section: mix membership, Proportional scratch, arena columns,
+    /// and a rate trigger's state.
+    fn out_of_spec_config() -> SimConfig {
+        SimConfig::builder(300, vec![40, 60])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::Mix(vec![
+                (1.0, ControllerSpec::Ant(AntParams::new(0.125))),
+                (
+                    2.0,
+                    ControllerSpec::Proportional(ProportionalParams {
+                        gain: 0.25,
+                        deadband: 2,
+                    }),
+                ),
+                (
+                    1.0,
+                    ControllerSpec::Hysteresis {
+                        depth: 1,
+                        lazy: Some(0.5),
+                    },
+                ),
+            ]))
+            .seed(77)
+            .arena(ArenaConfig {
+                site_of_task: vec![0, 1],
+                travel_rounds: 2,
+                wander_probability: 0.05,
+            })
+            .trigger(Trigger {
+                when: Condition::Or(
+                    Box::new(Condition::DeficitRateAbove {
+                        task: 0,
+                        min_rise: 5,
+                        for_rounds: 1,
+                    }),
+                    Box::new(Condition::RegretAbove {
+                        threshold: 50,
+                        for_rounds: 3,
+                    }),
+                ),
+                event: Event::SetTaskDemand {
+                    task: 1,
+                    demand: 70,
+                },
+                cooldown: 10,
+                max_firings: 0,
+            })
+            .out_of_spec_params()
+            .build()
+            .expect("structurally valid scenario")
+    }
+
+    #[test]
+    fn out_of_spec_configs_roundtrip_through_v8() {
+        // The v8 reader decodes the config syntactically: parameter
+        // windows are not re-checked, so an out-of-spec engine captures,
+        // decodes and continues exactly.
+        let cfg = out_of_spec_config();
+        assert!(cfg.validate().is_err(), "the config is out of spec");
+        let mut obs = NullObserver;
+        let mut full = cfg.build();
+        full.run(14, &mut obs);
+        let cp = Checkpoint::capture(&full).unwrap();
+        assert!(!cp.scratch.is_empty() && !cp.arena_site.is_empty());
+        let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
+        assert_eq!(back, cp);
+        assert_eq!(back.config(), &cfg);
+        let mut resumed = back.restore();
+        full.run(60, &mut obs);
+        resumed.run(60, &mut obs);
+        assert_eq!(full.colony().assignments(), resumed.colony().assignments());
+        assert_eq!(full.trigger_states(), resumed.trigger_states());
+    }
+
+    /// The v8 config section: a `u64` length at byte 24, then the text.
+    fn config_section(bytes: &[u8]) -> std::ops::Range<usize> {
+        let len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+        32..32 + len
+    }
+
+    /// `bytes` with its config section replaced by `text`.
+    fn with_config_text(bytes: &[u8], text: &[u8]) -> Vec<u8> {
+        let section = config_section(bytes);
+        let mut out = bytes[..24].to_vec();
+        out.extend_from_slice(&(text.len() as u64).to_le_bytes());
+        out.extend_from_slice(text);
+        out.extend_from_slice(&bytes[section.end..]);
+        out
+    }
+
+    #[test]
+    fn v8_streams_embed_the_canonical_config_toml() {
+        for cfg in [config(), out_of_spec_config()] {
+            let mut e = cfg.build();
+            e.run(2, &mut NullObserver);
+            let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
+            assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 8);
+            assert_eq!(&bytes[config_section(&bytes)], cfg.to_toml().as_bytes());
+            // Re-embedding the same text is the identity.
+            let text = cfg.to_toml();
+            assert_eq!(with_config_text(&bytes, text.as_bytes()), bytes);
+        }
+    }
+
+    #[test]
+    fn malformed_config_text_is_corrupt() {
+        let mut e = config().build();
+        e.run(2, &mut NullObserver);
+        let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
+        let text = config().to_toml();
+        let depth = 100_000;
+        let deep = format!(
+            "n = 10\ndemands = {}{}\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        let mut not_utf8 = text.clone().into_bytes();
+        not_utf8.insert(3, 0xFF);
+        for (what, text, expect) in [
+            // Runs on a test thread's small stack: the parser's nesting
+            // cap, not luck, keeps this from overflowing.
+            ("100 000 nested arrays", deep.into_bytes(), "nest deeper"),
+            ("invalid UTF-8", not_utf8, "UTF-8"),
+            ("a syntax error", b"n = = 3".to_vec(), "embedded TOML"),
+            (
+                "an unknown key",
+                format!("bogus = 1\n{text}").into_bytes(),
+                "unknown key",
+            ),
+            (
+                "an empty colony",
+                text.replacen("n = 200", "n = 0", 1).into_bytes(),
+                "invalid config",
+            ),
+        ] {
+            match Checkpoint::from_bytes(&with_config_text(&bytes, &text)) {
+                Err(CheckpointError::Corrupt(msg)) => {
+                    assert!(msg.contains(expect), "{what}: {msg}");
+                }
+                other => panic!("{what} must be corrupt, got {other:?}"),
+            }
+        }
+        // A length prefix running past the stream is a truncation.
+        let mut long = bytes.clone();
+        long[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(Checkpoint::from_bytes(&long).is_err());
+    }
+
+    #[test]
+    fn crafted_current_demands_are_corrupt() {
+        // `restore()` would panic building a demand vector with a zero
+        // or a wrong task count; the decoder rejects both. The current
+        // demands follow the config section: a count, then the values.
+        let mut e = config().build(); // 2 tasks
+        e.run(2, &mut NullObserver);
+        let bytes = Checkpoint::capture(&e).unwrap().to_bytes();
+        let at = config_section(&bytes).end;
+        assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes());
+        let mut zero = bytes.clone();
+        zero[at + 8..at + 16].copy_from_slice(&0u64.to_le_bytes());
+        let mut short = bytes[..at].to_vec();
+        short.extend_from_slice(&1u64.to_le_bytes());
+        short.extend_from_slice(&bytes[at + 16..]);
+        for bad in [zero, short] {
+            let err = Checkpoint::from_bytes(&bad).expect_err("must reject");
+            assert!(err.to_string().contains("current demands"), "{err}");
         }
     }
 
@@ -1784,7 +1395,7 @@ mod tests {
         let mut cond = vec![4u8; 100]; // 100 nested `And` left arms
         cond.push(0xFF);
         let mut slice: &[u8] = &cond;
-        assert!(super::get_condition(&mut slice, 0).is_err());
+        assert!(super::legacy::get_condition(&mut slice, 0).is_err());
         // And a truncated tail still errors cleanly end-to-end.
         bytes.truncate(bytes.len() - 1);
         assert!(Checkpoint::from_bytes(&bytes).is_err());

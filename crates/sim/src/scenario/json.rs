@@ -8,9 +8,10 @@
 //! `"inf"`/`"-inf"`/`"nan"` as their wire form and
 //! [`Value::as_f64`] folds those spellings back into floats — a
 //! config with e.g. `cd = inf` round-trips (covered by
-//! `non_finite_params_roundtrip_through_json`).
+//! `non_finite_params_roundtrip_through_json`). Arrays and objects nest
+//! at most 128 levels deep.
 
-use crate::scenario::value::Value;
+use crate::scenario::value::{Value, MAX_NESTING};
 use crate::scenario::ConfigError;
 
 /// Parses a JSON document.
@@ -18,6 +19,7 @@ pub fn parse(text: &str) -> Result<Value, ConfigError> {
     let mut p = Parser {
         chars: text.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -112,6 +114,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -144,8 +148,8 @@ impl Parser {
     fn value(&mut self) -> Result<Value, ConfigError> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => self.string().map(Value::Str),
             Some('t') => self.literal("true", Value::Bool(true)),
             Some('f') => self.literal("false", Value::Bool(false)),
@@ -154,6 +158,21 @@ impl Parser {
             Some(c) => Err(self.error(format!("unexpected `{c}`"))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, refusing to open more than
+    /// [`MAX_NESTING`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ConfigError>,
+    ) -> Result<Value, ConfigError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("values nest deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ConfigError> {
@@ -353,5 +372,21 @@ mod tests {
         doc.insert("sub", sub);
         let text = write(&doc);
         assert_eq!(parse(&text).unwrap(), doc, "{text}");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        // 100 000 levels used to recurse until the process aborted.
+        let depth = 100_000;
+        for (open, close) in [("[", "]"), ("{\"a\": ", "}")] {
+            let doc = format!("{}1{}", open.repeat(depth), close.repeat(depth));
+            let err = parse(&doc).unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::Parse(msg) if msg.starts_with("json offset")),
+                "{err:?}"
+            );
+        }
+        let ok = format!("{}1{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(parse(&ok).is_ok());
     }
 }

@@ -359,4 +359,29 @@ mod tests {
         let back = SimConfig::from_toml(&config.to_toml()).unwrap();
         assert_eq!(back, config);
     }
+
+    #[test]
+    fn deeply_nested_documents_are_parse_errors() {
+        // Both hand-rolled parsers used to recurse without bound: this
+        // input aborted the whole process with a stack overflow.
+        let depth = 100_000;
+        let toml_text = format!(
+            "n = 10\ndemands = {}{}\n",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        assert!(matches!(
+            Scenario::from_toml(&toml_text),
+            Err(ConfigError::Parse(_))
+        ));
+        let json_text = format!(
+            "{{\"n\": 10, \"demands\": {}{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        );
+        assert!(matches!(
+            Scenario::from_json(&json_text),
+            Err(ConfigError::Parse(_))
+        ));
+    }
 }

@@ -8,9 +8,10 @@
 //! tables, and array-of-tables headers (`[[x]]`, the natural syntax
 //! for `[[timeline]]` event scripts; keys after one address its last
 //! element, including through nested paths). Not supported: dotted
-//! keys, datetimes, multi-line strings.
+//! keys, datetimes, multi-line strings. Arrays, inline tables and
+//! section paths nest at most 128 levels deep.
 
-use crate::scenario::value::Value;
+use crate::scenario::value::{Value, MAX_NESTING};
 use crate::scenario::ConfigError;
 
 /// Parses a TOML document into a [`Value::Table`].
@@ -23,6 +24,7 @@ pub fn parse(text: &str) -> Result<Value, ConfigError> {
         chars: text.chars().collect(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let mut root = Value::table();
     let mut path: Vec<String> = Vec::new();
@@ -366,6 +368,8 @@ struct Parser {
     chars: Vec<char>,
     pos: usize,
     line: u32,
+    /// Arrays and inline tables currently open.
+    depth: usize,
 }
 
 impl Parser {
@@ -474,6 +478,12 @@ impl Parser {
         loop {
             self.skip_inline_ws();
             if self.peek() == Some('.') {
+                // Each part is one more level of table nesting.
+                if path.len() == MAX_NESTING {
+                    return Err(self.error(format!(
+                        "section header nests deeper than {MAX_NESTING} levels"
+                    )));
+                }
                 self.bump();
                 path.push(self.key()?);
             } else {
@@ -486,13 +496,28 @@ impl Parser {
         self.skip_inline_ws();
         match self.peek() {
             Some('"') => self.string(),
-            Some('[') => self.array(),
-            Some('{') => self.inline_table(),
+            Some('[') => self.nested(Self::array),
+            Some('{') => self.nested(Self::inline_table),
             Some('t') | Some('f') | Some('i') | Some('n') => self.word(),
             Some(c) if c == '+' || c == '-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.error(format!("expected value, found `{c}`"))),
             None => Err(self.error("expected value, found end of input")),
         }
+    }
+
+    /// Parses one array or inline table, refusing to open more than
+    /// [`MAX_NESTING`] at once.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ConfigError>,
+    ) -> Result<Value, ConfigError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.error(format!("values nest deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn string(&mut self) -> Result<Value, ConfigError> {
@@ -914,5 +939,31 @@ kind = "inverted"
         assert_eq!(back.get("a"), Some(&Value::Float(f64::INFINITY)));
         assert_eq!(back.get("b"), Some(&Value::Float(f64::NEG_INFINITY)));
         assert_eq!(back.get("c"), Some(&Value::Float(2.0)));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        // 100 000 levels used to recurse until the process aborted.
+        let depth = 100_000;
+        for open in ["[", "{ a = "] {
+            let close = if open == "[" { "]" } else { " }" };
+            let doc = format!("x = {}{}\n", open.repeat(depth), close.repeat(depth));
+            let err = parse(&doc).unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::Parse(msg) if msg.starts_with("line 1:")),
+                "{err:?}"
+            );
+        }
+        let header = format!("[{}]\n", vec!["a"; depth].join("."));
+        assert!(matches!(parse(&header), Err(ConfigError::Parse(_))));
+        // The cap leaves real documents alone.
+        let ok = format!(
+            "x = {}1{}\n",
+            "[".repeat(MAX_NESTING),
+            "]".repeat(MAX_NESTING)
+        );
+        assert!(parse(&ok).is_ok());
+        let ok = format!("[{}]\n", vec!["a"; MAX_NESTING].join("."));
+        assert!(parse(&ok).is_ok());
     }
 }

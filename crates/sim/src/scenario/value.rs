@@ -7,6 +7,12 @@
 
 use crate::scenario::ConfigError;
 
+/// How deep arrays and tables may nest in a parsed document. Scenario
+/// files need a handful of levels; the cap keeps the recursive parsers
+/// (and the recursive drop of the tree) within any thread's stack on
+/// hostile input, such as the TOML a checkpoint stream embeds.
+pub(crate) const MAX_NESTING: usize = 128;
+
 /// One node of a parsed scenario document.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {

@@ -1,8 +1,8 @@
 //! The timeline subsystem end to end: a pure-TOML shock script runs
 //! under the batch runner bit-identically to serial runs, survives
 //! checkpoint-restore mid-timeline, fires identically under both
-//! engines, and older checkpoints (v3 pre-trigger, v2 pre-timeline)
-//! still load.
+//! engines, and older checkpoints (v2 pre-timeline through v7, the
+//! last binary config encoding) still load.
 //!
 //! The second half pins the PR-4 adversarial layer: a pure-TOML
 //! scenario with a regret-*triggered* scramble and a *generated*
@@ -391,8 +391,8 @@ fn adversarial_mid_timeline_checkpoint_restore_replays_bit_identically() {
     let bytes = cp.to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
-        7,
-        "current checkpoints are format v7"
+        8,
+        "current checkpoints are format v8"
     );
     let restored = Checkpoint::from_bytes(&bytes).expect("decodes");
     assert_eq!(cp, restored);
@@ -451,10 +451,10 @@ fn v3_checkpoints_still_load_and_continue_exactly() {
     assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
     assert_eq!(fresh.colony().loads(), resumed.colony().loads());
     assert_eq!(resumed.colony().num_ants(), 1000);
-    // A v3 checkpoint re-saved today is a v7 byte stream that
+    // A v3 checkpoint re-saved today is a v8 byte stream that
     // round-trips.
     let resaved = cp.to_bytes();
-    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 7);
+    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 8);
     assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
 }
 
@@ -502,9 +502,9 @@ fn v4_checkpoints_still_load_and_continue_exactly() {
     assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
     assert_eq!(fresh.colony().loads(), resumed.colony().loads());
     assert_eq!(fresh.trigger_states(), resumed.trigger_states());
-    // Re-saved today it is a v7 byte stream that round-trips.
+    // Re-saved today it is a v8 byte stream that round-trips.
     let resaved = cp.to_bytes();
-    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 7);
+    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 8);
     assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
 }
 
@@ -540,9 +540,9 @@ fn v5_checkpoints_still_load_and_continue_exactly() {
     fresh.run(100, &mut obs);
     assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
     assert_eq!(fresh.colony().loads(), resumed.colony().loads());
-    // Re-saved today it is a v7 byte stream that round-trips.
+    // Re-saved today it is a v8 byte stream that round-trips.
     let resaved = cp.to_bytes();
-    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 7);
+    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 8);
     assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
 }
 
@@ -575,9 +575,119 @@ fn v6_checkpoints_still_load_and_continue_exactly() {
     fresh.run(100, &mut obs);
     assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
     assert_eq!(fresh.colony().loads(), resumed.colony().loads());
-    // Re-saved today it is a v7 byte stream that round-trips.
+    // Re-saved today it is a v8 byte stream that round-trips.
     let resaved = cp.to_bytes();
-    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 7);
+    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 8);
+    assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
+}
+
+#[test]
+fn v7_checkpoints_still_load_and_continue_exactly() {
+    // Fixture written by the v7 format (the last binary config
+    // encoding), built to reach its v7-only decoder arms: an arena, a
+    // mix with Proportional (spec tag 8) and Hysteresis parts, a
+    // `set-task-demand` event, deficit conditions (tags 6 and 7) with a
+    // rate trigger captured while armed, a generator, and non-zero
+    // Proportional streaks (scratch tag 2). Hysteresis watching two
+    // tasks is out of spec, so this also pins that out-of-spec configs
+    // decode. Captured at round 14, it must decode, carry the same
+    // config, and continue bit-identically to an uninterrupted run.
+    let expected = SimConfig::builder(600, vec![80, 120])
+        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+        .controller(ControllerSpec::Mix(vec![
+            (
+                1.0,
+                ControllerSpec::ExactGreedy(antalloc_core::ExactGreedyParams::default()),
+            ),
+            (
+                1.0,
+                ControllerSpec::Proportional(antalloc_core::ProportionalParams {
+                    gain: 0.25,
+                    deadband: 3,
+                }),
+            ),
+            (
+                1.0,
+                ControllerSpec::Hysteresis {
+                    depth: 1,
+                    lazy: Some(0.5),
+                },
+            ),
+        ]))
+        .seed(0xF7C)
+        .arena(antalloc_env::ArenaConfig {
+            site_of_task: vec![0, 1],
+            travel_rounds: 2,
+            wander_probability: 0.05,
+        })
+        .event(
+            20,
+            Event::SetTaskDemand {
+                task: 0,
+                demand: 150,
+            },
+        )
+        .trigger(Trigger {
+            when: Condition::DeficitRateAbove {
+                task: 0,
+                min_rise: 30,
+                for_rounds: 1,
+            },
+            event: Event::SetTaskDemand {
+                task: 1,
+                demand: 90,
+            },
+            cooldown: 10,
+            max_firings: 3,
+        })
+        .trigger(Trigger {
+            when: Condition::DeficitAbove {
+                task: 1,
+                threshold: 40,
+                for_rounds: 3,
+            },
+            event: Event::Spawn { count: 30 },
+            cooldown: 20,
+            max_firings: 2,
+        })
+        .generate(TimelineGen {
+            start: 30,
+            until: 200,
+            mean_gap: 40.0,
+            shock: GenShock::Kill {
+                min_frac: 0.02,
+                max_frac: 0.05,
+            },
+        })
+        .out_of_spec_params()
+        .build()
+        .unwrap();
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let bytes = std::fs::read(dir.join("checkpoint_v7_arena.ckpt")).expect("v7 fixture readable");
+    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 7);
+    let cp = Checkpoint::from_bytes(&bytes).expect("v7 fixture loads");
+    assert_eq!(cp.round(), 14);
+    assert_eq!(cp.config(), &expected);
+
+    let mut obs = NullObserver;
+    let mut resumed = cp.restore();
+    assert!(
+        resumed.trigger_states()[0].pending,
+        "the rate trigger was captured armed"
+    );
+    // Crosses the trigger firing, the demand step at round 20 and
+    // generated kills.
+    resumed.run(100, &mut obs);
+    let mut fresh = expected.build();
+    fresh.run(114, &mut obs);
+    assert_eq!(fresh.colony().assignments(), resumed.colony().assignments());
+    assert_eq!(fresh.colony().loads(), resumed.colony().loads());
+    assert_eq!(fresh.colony().demands(), resumed.colony().demands());
+    assert_eq!(fresh.trigger_states(), resumed.trigger_states());
+    assert!(resumed.colony().num_ants() < 600, "generated kills fired");
+    // Re-saved today it is a v8 byte stream that round-trips.
+    let resaved = cp.to_bytes();
+    assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 8);
     assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
 }
 
