@@ -8,8 +8,8 @@
 //!   version-history table column in `docs/CHECKPOINTS.md`, vs every
 //!   version range (`v2 → … → vN`) in the summary docs that mention
 //!   the format (the README), and vs the fixture directory, which must
-//!   hold a binary fixture for every older version the reader accepts
-//!   (`MIN_VERSION..VERSION`);
+//!   hold a binary fixture for every version the reader accepts
+//!   (`MIN_VERSION..=VERSION`), the current one included;
 //! * the **reserved-stream registry** — every constant in the `rng`
 //!   registry must appear as a table row in each configured doc, so a
 //!   new subsystem stream cannot land undocumented.
@@ -87,10 +87,11 @@ fn const_u32(source: &str, name: &str) -> Option<(usize, u32)> {
     })
 }
 
-/// Every version the reader accepts below the current one must have a
-/// binary fixture named `checkpoint_v{N}_*.ckpt` in `dir`: the
-/// read-compat policy generates one before each bump, and a version
-/// without one is decoded by code no test exercises.
+/// Every version the reader accepts, the current one included, must
+/// have a binary fixture named `checkpoint_v{N}_*.ckpt` in `dir`: a
+/// version without one is decoded by code no test exercises, and a
+/// current-version fixture written by an earlier commit is what catches
+/// a writer whose byte layout drifts within a version.
 fn check_fixtures(
     root: &Path,
     dir: &str,
@@ -122,7 +123,7 @@ fn check_fixtures(
             return;
         }
     };
-    for v in min_version..version {
+    for v in min_version..=version {
         let prefix = format!("checkpoint_v{v}_");
         if !names
             .iter()

@@ -192,10 +192,10 @@ fn bad_consistency_is_flagged() {
 
 #[test]
 fn missing_checkpoint_fixtures_are_flagged() {
-    // The codec reads v2..=v5; the fixture directory covers v2 and v4
-    // only. v3 is flagged (a `checkpoint_v3.ckpt` without a descriptive
-    // suffix does not count), the current v5 needs no fixture, and the
-    // docs agree with the codec, so nothing else fires.
+    // The codec reads v2..=v5; the fixture directory covers v2, v4 and
+    // v5. v3 is flagged (a `checkpoint_v3.ckpt` without a descriptive
+    // suffix does not count), and the docs agree with the codec, so
+    // nothing else fires.
     let root = fixtures().join("bad_consistency_fixtures");
     let cfg = Config {
         checkpoint_fixture_dir: Some("fixtures".into()),
@@ -211,6 +211,24 @@ fn missing_checkpoint_fixtures_are_flagged() {
     let mut diags = Vec::new();
     rules::consistency::check(&root, &strict_config(), &registry(), &mut diags);
     assert!(diags.is_empty(), "{diags:?}");
+}
+
+#[test]
+fn current_version_without_a_fixture_is_flagged() {
+    // A codec one version past the fixture directory (reads v4..=v6,
+    // fixtures stop at v5): the current version needs a fixture too, so
+    // a writer whose bytes drift within a version is caught.
+    let root = fixtures().join("bad_consistency_fixtures");
+    let cfg = Config {
+        checkpoint_source: "checkpoint_next.rs".into(),
+        checkpoint_fixture_dir: Some("fixtures".into()),
+        ..strict_config()
+    };
+    let mut diags = Vec::new();
+    rules::consistency::check(&root, &cfg, &registry(), &mut diags);
+    diags.retain(|d| d.rule == "checkpoint-fixture");
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert!(diags[0].message.contains("accepts v6"), "{diags:?}");
 }
 
 #[test]

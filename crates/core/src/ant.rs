@@ -24,7 +24,7 @@ use crate::controller::Controller;
 use crate::params::AntParams;
 
 /// The Algorithm Ant controller for one ant.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct AlgorithmAnt {
     params: AntParams,
     /// Phase offset in rounds (0 in the paper's fully-synchronized
@@ -48,6 +48,32 @@ pub struct AlgorithmAnt {
     /// Whether a first sample was taken this phase (stale-state guard
     /// after resets that land mid-phase).
     have_s1: bool,
+}
+
+impl Clone for AlgorithmAnt {
+    fn clone(&self) -> Self {
+        Self {
+            s1_all: self.s1_all.clone(),
+            s2_all: self.s2_all.clone(),
+            ..*self
+        }
+    }
+
+    /// Clones into this controller's own sample buffers (a bank rebuilt
+    /// in place allocates nothing per ant).
+    fn clone_from(&mut self, source: &Self) {
+        let (mut s1_all, mut s2_all) = (
+            core::mem::take(&mut self.s1_all),
+            core::mem::take(&mut self.s2_all),
+        );
+        s1_all.clone_from(&source.s1_all);
+        s2_all.clone_from(&source.s2_all);
+        *self = Self {
+            s1_all,
+            s2_all,
+            ..*source
+        };
+    }
 }
 
 impl AlgorithmAnt {

@@ -53,30 +53,10 @@ use crate::ant::AlgorithmAnt;
 use crate::ant_bank::{AntBank, AntSliceMut};
 use crate::controller::{step_slice_fused, AnyController, Controller};
 use crate::flat_bank::{ExactGreedyBank, ExactGreedySliceMut, TrivialBank, TrivialSliceMut};
-use crate::precise_adversarial::{AdversarialScratch, PreciseAdversarial};
-use crate::precise_sigmoid::SigmoidScratch;
+use crate::precise_adversarial::PreciseAdversarial;
 use crate::proportional::{ProportionalBank, ProportionalSliceMut};
 use crate::sigmoid_bank::{PreciseSigmoidBank, SigmoidSliceMut};
 use crate::table_fsm::TableFsm;
-
-/// Per-ant controller state beyond the assignment, extracted per kind —
-/// what a checkpoint must carry to capture *between* the kind's phase
-/// boundaries. Kinds whose entire state is the assignment (or whose
-/// phase is short enough that boundary-only capture costs nothing)
-/// have no scratch.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ControllerScratch {
-    /// Precise Sigmoid's mid-phase counters (phases are `2m = O(1/ε)`
-    /// rounds long, so boundary-only capture is a real restriction).
-    PreciseSigmoid(SigmoidScratch),
-    /// Precise Adversarial's mid-phase trackers (phases are
-    /// `5·r_1 = O(1/ε)` rounds long — the last long-phase kind to gain
-    /// mid-phase capture).
-    PreciseAdversarial(AdversarialScratch),
-    /// The proportional controller's persisted-error streak (emitted
-    /// only when non-zero; restore defaults absent entries to 0).
-    Proportional(u16),
-}
 
 /// A contiguous, homogeneous population of controllers of one kind.
 ///
@@ -231,49 +211,6 @@ impl ControllerBank {
     /// Persistent memory of the ant at `slot`, in bits.
     pub fn memory_bits(&self, slot: usize) -> u32 {
         each_bank!(self, b => { let _ = slot; b.memory_bits() }, v => v[slot].memory_bits())
-    }
-
-    /// The mid-phase scratch of the ant at `slot` — `Some` only for
-    /// kinds a checkpoint must carry counters for (Precise Sigmoid and
-    /// Precise Adversarial; see [`ControllerScratch`]).
-    pub fn scratch(&self, slot: usize) -> Option<ControllerScratch> {
-        match self {
-            ControllerBank::PreciseSigmoid(b) => {
-                Some(ControllerScratch::PreciseSigmoid(b.scratch(slot)))
-            }
-            ControllerBank::PreciseAdversarial(v) => {
-                Some(ControllerScratch::PreciseAdversarial(v[slot].scratch()))
-            }
-            // Zero streaks are the reset state; omitting them keeps
-            // checkpoints of settled colonies scratch-free.
-            ControllerBank::Proportional(b) => match b.streak(slot) {
-                0 => None,
-                s => Some(ControllerScratch::Proportional(s)),
-            },
-            _ => None,
-        }
-    }
-
-    /// Overwrites the mid-phase scratch of the ant at `slot` (checkpoint
-    /// restore; apply *after* [`ControllerBank::reset_slot`]).
-    ///
-    /// # Panics
-    /// If the scratch kind does not match the bank's kind, or its shape
-    /// does not match the bank's task count.
-    pub fn apply_scratch(&mut self, slot: usize, scratch: &ControllerScratch) {
-        match (self, scratch) {
-            (ControllerBank::PreciseSigmoid(b), ControllerScratch::PreciseSigmoid(s)) => {
-                b.apply_scratch(slot, s)
-            }
-            (ControllerBank::PreciseAdversarial(v), ControllerScratch::PreciseAdversarial(s)) => {
-                v[slot].apply_scratch(s)
-            }
-            (ControllerBank::Proportional(b), ControllerScratch::Proportional(s)) => {
-                b.set_streak(slot, *s)
-            }
-            // audit:allow(panic-path): documented precondition — scratch kinds are matched to banks by the checkpoint codec before apply.
-            _ => panic!("scratch kind does not match bank kind"),
-        }
     }
 
     /// Appends a controller to the bank.
@@ -489,7 +426,6 @@ mod tests {
     use super::*;
     use crate::params::{AntParams, PreciseSigmoidParams};
     use crate::precise_sigmoid::PreciseSigmoid;
-    use crate::trivial::Trivial;
     use antalloc_noise::NoiseModel;
     use antalloc_rng::StreamSeeder;
 
@@ -536,18 +472,23 @@ mod tests {
 
     #[test]
     fn scratch_roundtrips_for_sigmoid_banks_only() {
+        // A mid-phase row read from a per-ant controller and written
+        // into a reset bank slot reads back unchanged.
         let params = PreciseSigmoidParams::new(0.05, 0.5);
+        let mut ant = PreciseSigmoid::new(2, params);
+        ant.reset_to(Assignment::Task(1));
+        let prepared = NoiseModel::Sigmoid { lambda: 1.0 }.prepare(1, &[3, -3], &[10, 10]);
+        let mut rng = StreamSeeder::new(5).ant(0);
+        ant.step(&mut FeedbackProbe::new(&prepared, &mut rng));
         let mut bank: ControllerBank = (0..3)
             .map(|_| AnyController::from(PreciseSigmoid::new(2, params)))
             .collect();
-        let scratch = bank.scratch(1).expect("sigmoid banks carry scratch");
-        bank.reset_slot(1, Assignment::Task(0));
-        bank.apply_scratch(1, &scratch);
-        assert_eq!(bank.scratch(1).unwrap(), scratch);
-        // Scratch-free kinds report None.
-        let bank: ControllerBank = (0..2)
-            .map(|_| AnyController::from(Trivial::new(2)))
-            .collect();
-        assert_eq!(bank.scratch(0), None);
+        bank.reset_slot(1, ant.assignment());
+        let ControllerBank::PreciseSigmoid(b) = &mut bank else {
+            unreachable!("sigmoid banks use the SoA layout");
+        };
+        b.set_row(1, ant.row());
+        assert_eq!(b.row(1), ant.row());
+        assert_ne!(b.row(0), ant.row(), "only slot 1 changed");
     }
 }

@@ -50,14 +50,14 @@ mod trivial;
 
 pub use ant::AlgorithmAnt;
 pub use ant_bank::{AntBank, AntSliceMut};
-pub use bank::{BankSliceMut, ControllerBank, ControllerScratch};
+pub use bank::{BankSliceMut, ControllerBank};
 pub use controller::{step_slice, step_slice_fused, AnyController, Controller};
 pub use exact_greedy::{ExactGreedy, ExactGreedyParams};
 pub use flat_bank::{ExactGreedyBank, ExactGreedySliceMut, TrivialBank, TrivialSliceMut};
 pub use memory::{bits_for_states, closeness_floor, MemoryFootprint};
 pub use params::{AntParams, PreciseAdversarialParams, PreciseSigmoidParams};
-pub use precise_adversarial::{AdversarialScratch, PreciseAdversarial};
-pub use precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
+pub use precise_adversarial::{AdversarialRow, PreciseAdversarial};
+pub use precise_sigmoid::{PreciseSigmoid, SigmoidRow};
 pub use proportional::{
     ProportionalBank, ProportionalController, ProportionalParams, ProportionalSliceMut,
 };

@@ -26,20 +26,20 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 use crate::controller::Controller;
 use crate::params::PreciseAdversarialParams;
 
-/// The mid-phase state of one Precise Adversarial ant: everything the
-/// controller remembers besides its assignment. Carried by checkpoints
-/// so a capture inside the `5·r_1 = O(1/ε)`-round phase resumes
-/// bit-identically instead of idling out the partial phase (the same
-/// contract as [`crate::SigmoidScratch`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AdversarialScratch {
+/// The mid-phase state of one Precise Adversarial ant, borrowed:
+/// everything the controller remembers besides its assignment. Carried
+/// by checkpoints so a capture inside the `5·r_1 = O(1/ε)`-round phase
+/// resumes bit-identically instead of idling out the partial phase (the
+/// same contract as [`crate::SigmoidRow`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AdversarialRow<'a> {
     /// `currentTask`: the task this phase observes (kept across ramp
     /// pauses), or idle.
     pub current_task: Assignment,
     /// Whether the running phase was observed from its start.
     pub have_phase: bool,
     /// Idle path: per task, whether every sample this phase said `lack`.
-    pub all_lack: Vec<bool>,
+    pub all_lack: &'a [bool],
     /// Working path: whether every sample this phase said `overload`.
     pub all_overload: bool,
     /// At the first ramp `lack`, was the ant still working? `None`
@@ -48,14 +48,14 @@ pub struct AdversarialScratch {
     pub working_at_first_lack: Option<bool>,
     /// Whether a first-lack classification is pending this round
     /// (always `false` between rounds — it is resolved within every
-    /// step — but carried so the scratch is a pure state copy).
+    /// step — but carried so the row is a pure state copy).
     pub pending_first_lack: bool,
     /// The frozen sub-phase-2 behaviour: work iff true.
     pub frozen_working: bool,
 }
 
 /// The Algorithm Precise Adversarial controller for one ant.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct PreciseAdversarial {
     params: PreciseAdversarialParams,
     r1: u64,
@@ -78,6 +78,26 @@ pub struct PreciseAdversarial {
     frozen_working: bool,
     /// Phase observed from its start (mid-phase reset guard).
     have_phase: bool,
+}
+
+impl Clone for PreciseAdversarial {
+    fn clone(&self) -> Self {
+        Self {
+            all_lack: self.all_lack.clone(),
+            ..*self
+        }
+    }
+
+    /// Clones into this controller's own tracker buffer (a bank rebuilt
+    /// in place allocates nothing per ant).
+    fn clone_from(&mut self, source: &Self) {
+        let mut all_lack = core::mem::take(&mut self.all_lack);
+        all_lack.clone_from(&source.all_lack);
+        *self = Self {
+            all_lack,
+            ..*source
+        };
+    }
 }
 
 impl PreciseAdversarial {
@@ -147,15 +167,15 @@ impl PreciseAdversarial {
         }
     }
 
-    /// Copies the mid-phase state out for checkpoints that capture
+    /// The mid-phase state, borrowed, for checkpoints that capture
     /// inside a phase. Lossless together with
-    /// [`PreciseAdversarial::apply_scratch`]: these fields are the
+    /// [`PreciseAdversarial::set_row`]: these fields are the
     /// controller's *entire* state beyond its assignment.
-    pub fn scratch(&self) -> AdversarialScratch {
-        AdversarialScratch {
+    pub fn row(&self) -> AdversarialRow<'_> {
+        AdversarialRow {
             current_task: self.current_task,
             have_phase: self.have_phase,
-            all_lack: self.all_lack.clone(),
+            all_lack: &self.all_lack,
             all_overload: self.all_overload,
             working_at_first_lack: self.working_at_first_lack,
             pending_first_lack: self.pending_first_lack,
@@ -168,16 +188,15 @@ impl PreciseAdversarial {
     /// this).
     ///
     /// # Panics
-    /// If the scratch's task count disagrees with this controller's.
-    pub fn apply_scratch(&mut self, s: &AdversarialScratch) {
-        assert_eq!(s.all_lack.len(), self.all_lack.len(), "task count mismatch");
-        self.current_task = s.current_task;
-        self.have_phase = s.have_phase;
-        self.all_lack.copy_from_slice(&s.all_lack);
-        self.all_overload = s.all_overload;
-        self.working_at_first_lack = s.working_at_first_lack;
-        self.pending_first_lack = s.pending_first_lack;
-        self.frozen_working = s.frozen_working;
+    /// If the row's task count disagrees with this controller's.
+    pub fn set_row(&mut self, row: AdversarialRow<'_>) {
+        self.current_task = row.current_task;
+        self.have_phase = row.have_phase;
+        self.all_lack.copy_from_slice(row.all_lack);
+        self.all_overload = row.all_overload;
+        self.working_at_first_lack = row.working_at_first_lack;
+        self.pending_first_lack = row.pending_first_lack;
+        self.frozen_working = row.frozen_working;
     }
 }
 
@@ -459,15 +478,14 @@ mod tests {
             |t| if t >= 10 { vec![L, O] } else { vec![O, O] },
             21,
         );
-        let scratch = ant.scratch();
         let mut copy = controller(true);
         copy.reset_to(ant.assignment());
-        copy.apply_scratch(&scratch);
-        assert_eq!(copy.scratch(), scratch);
+        copy.set_row(ant.row());
+        assert_eq!(copy.row(), ant.row());
         let a = run_rounds(&mut ant, 38..=320, |_| vec![L, O], 22);
         let b = run_rounds(&mut copy, 38..=320, |_| vec![L, O], 22);
         assert_eq!(a, b);
-        assert_eq!(ant.scratch(), copy.scratch());
+        assert_eq!(ant.row(), copy.row());
     }
 
     #[test]

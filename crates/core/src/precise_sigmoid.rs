@@ -16,25 +16,26 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 
-/// The mid-phase counter state of one Precise Sigmoid ant: everything
-/// the controller remembers besides its assignment. Extracted for bank
-/// transposition ([`crate::PreciseSigmoidBank`]) and carried by
-/// checkpoints so a capture between phase boundaries (phases are
+/// The mid-phase counter state of one Precise Sigmoid ant, borrowed:
+/// everything the controller remembers besides its assignment. Moves
+/// state between the per-ant controller and
+/// [`crate::PreciseSigmoidBank`]'s planes, and is what checkpoints
+/// carry so a capture between phase boundaries (phases are
 /// `2m = O(1/ε)` rounds long) resumes bit-identically instead of
 /// idling out the partial phase.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SigmoidScratch {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SigmoidRow<'a> {
     /// `currentTask`: the task this phase observes (kept across the
     /// half-phase pause), or idle.
     pub current_task: Assignment,
     /// Whether the running phase was observed from its start.
     pub have_phase: bool,
     /// Per-task `lack` counts of the first half-phase.
-    pub count1: Vec<u16>,
+    pub count1: &'a [u16],
     /// Per-task `lack` counts of the second half-phase.
-    pub count2: Vec<u16>,
-    /// First-half medians, frozen at `r = m`.
-    pub shat1_lack: Vec<bool>,
+    pub count2: &'a [u16],
+    /// First-half medians, frozen at `r = m` (1 = lack, 0 = overload).
+    pub shat1_lack: &'a [u8],
 }
 
 /// The Algorithm Precise Sigmoid controller for one ant.
@@ -51,8 +52,8 @@ pub struct PreciseSigmoid {
     count1: Vec<u16>,
     /// Per-task `lack` counts in the second half-phase.
     count2: Vec<u16>,
-    /// First-half medians, frozen at `r = m` (`ŝ1`).
-    shat1_lack: Vec<bool>,
+    /// First-half medians, frozen at `r = m` (`ŝ1`; 1 = lack).
+    shat1_lack: Vec<u8>,
     /// Whether this phase was observed from its start (stale-state guard
     /// after mid-phase resets).
     have_phase: bool,
@@ -73,7 +74,7 @@ impl PreciseSigmoid {
             assignment: Assignment::Idle,
             count1: vec![0; num_tasks],
             count2: vec![0; num_tasks],
-            shat1_lack: vec![false; num_tasks],
+            shat1_lack: vec![0; num_tasks],
             have_phase: false,
         }
     }
@@ -103,19 +104,18 @@ impl PreciseSigmoid {
         crate::controller::step_slice(ants, view, rngs, out)
     }
 
-    /// Copies the mid-phase counter state out — for transposition into
+    /// The mid-phase counter state, borrowed — for transposition into
     /// [`crate::PreciseSigmoidBank`] and for checkpoints that capture
     /// between phase boundaries. Lossless together with
-    /// [`PreciseSigmoid::apply_scratch`]: the counters and the frozen
-    /// medians are the controller's *entire* state beyond its
-    /// assignment.
-    pub fn scratch(&self) -> SigmoidScratch {
-        SigmoidScratch {
+    /// [`PreciseSigmoid::set_row`]: the counters and the frozen medians
+    /// are the controller's *entire* state beyond its assignment.
+    pub fn row(&self) -> SigmoidRow<'_> {
+        SigmoidRow {
             current_task: self.current_task,
             have_phase: self.have_phase,
-            count1: self.count1.clone(),
-            count2: self.count2.clone(),
-            shat1_lack: self.shat1_lack.clone(),
+            count1: &self.count1,
+            count2: &self.count2,
+            shat1_lack: &self.shat1_lack,
         }
     }
 
@@ -124,20 +124,13 @@ impl PreciseSigmoid {
     /// [`crate::Controller::reset_to`] *before* this).
     ///
     /// # Panics
-    /// If the scratch's task count disagrees with this controller's.
-    pub fn apply_scratch(&mut self, s: &SigmoidScratch) {
-        assert_eq!(s.count1.len(), self.count1.len(), "task count mismatch");
-        assert_eq!(s.count2.len(), self.count2.len(), "task count mismatch");
-        assert_eq!(
-            s.shat1_lack.len(),
-            self.shat1_lack.len(),
-            "task count mismatch"
-        );
-        self.current_task = s.current_task;
-        self.have_phase = s.have_phase;
-        self.count1.copy_from_slice(&s.count1);
-        self.count2.copy_from_slice(&s.count2);
-        self.shat1_lack.copy_from_slice(&s.shat1_lack);
+    /// If the row's task count disagrees with this controller's.
+    pub fn set_row(&mut self, row: SigmoidRow<'_>) {
+        self.current_task = row.current_task;
+        self.have_phase = row.have_phase;
+        self.count1.copy_from_slice(row.count1);
+        self.count2.copy_from_slice(row.count2);
+        self.shat1_lack.copy_from_slice(row.shat1_lack);
     }
 
     /// Median threshold: a batch of `m` samples is `lack` iff strictly
@@ -194,7 +187,7 @@ impl Controller for PreciseSigmoid {
         if r == self.m {
             // Freeze ŝ1 and take the temporary pause.
             for j in 0..self.count1.len() {
-                self.shat1_lack[j] = self.median_is_lack(self.count1[j]);
+                self.shat1_lack[j] = u8::from(self.median_is_lack(self.count1[j]));
             }
             if let Assignment::Task(j) = self.current_task {
                 self.assignment = if self.pause.sample(probe.rng()) {
@@ -208,7 +201,7 @@ impl Controller for PreciseSigmoid {
             match self.current_task {
                 Assignment::Idle => {
                     let joinable = |this: &Self, j: usize| {
-                        this.shat1_lack[j] && this.median_is_lack(this.count2[j])
+                        this.shat1_lack[j] == 1 && this.median_is_lack(this.count2[j])
                     };
                     let count = (0..self.count1.len())
                         .filter(|&j| joinable(self, j))
@@ -227,7 +220,7 @@ impl Controller for PreciseSigmoid {
                 Assignment::Task(j) => {
                     let ju = j as usize;
                     let both_overload =
-                        !self.shat1_lack[ju] && !self.median_is_lack(self.count2[ju]);
+                        self.shat1_lack[ju] == 0 && !self.median_is_lack(self.count2[ju]);
                     self.assignment = if both_overload && self.leave.sample(probe.rng()) {
                         Assignment::Idle
                     } else {

@@ -17,8 +17,9 @@
 //! are bit-identical to per-ant runs — pinned by `tests/banks.rs`.
 //!
 //! The counter planes are also what checkpoints serialize (per ant, as
-//! [`SigmoidScratch`]) so a capture *between* phase boundaries — phases
-//! are `2m = O(1/ε)` rounds long — resumes mid-phase bit-identically.
+//! a borrowed [`SigmoidRow`]) so a capture *between* phase boundaries —
+//! phases are `2m = O(1/ε)` rounds long — resumes mid-phase
+//! bit-identically.
 
 use antalloc_env::{Assignment, ColumnWriter};
 use antalloc_noise::{RoundView, SensedRound};
@@ -27,7 +28,7 @@ use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 use crate::ant_bank::{dec, enc, refill, IDLE};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
-use crate::precise_sigmoid::{PreciseSigmoid, SigmoidScratch};
+use crate::precise_sigmoid::{PreciseSigmoid, SigmoidRow};
 
 /// A homogeneous Precise Sigmoid population in structure-of-arrays
 /// layout.
@@ -113,13 +114,13 @@ impl PreciseSigmoidBank {
     pub fn push_controller(&mut self, ant: &PreciseSigmoid) {
         assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
         debug_assert_eq!(ant.params(), &self.params, "parameter mismatch");
-        let s = ant.scratch();
-        self.current.push(enc(s.current_task));
+        let row = ant.row();
+        self.current.push(enc(row.current_task));
         self.assignment.push(enc(ant.assignment()));
-        self.have_phase.push(u8::from(s.have_phase));
-        self.count1.extend_from_slice(&s.count1);
-        self.count2.extend_from_slice(&s.count2);
-        self.shat1.extend(s.shat1_lack.iter().map(|&l| u8::from(l)));
+        self.have_phase.push(u8::from(row.have_phase));
+        self.count1.extend_from_slice(row.count1);
+        self.count2.extend_from_slice(row.count2);
+        self.shat1.extend_from_slice(row.shat1_lack);
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -127,21 +128,21 @@ impl PreciseSigmoidBank {
     pub fn to_controller(&self, slot: usize) -> PreciseSigmoid {
         let mut ant = PreciseSigmoid::new(self.num_tasks, self.params);
         ant.reset_to(dec(self.assignment[slot]));
-        ant.apply_scratch(&self.scratch(slot));
+        ant.set_row(self.row(slot));
         ant
     }
 
-    /// The mid-phase counter state of the ant at `slot` (checkpoint
-    /// capture; see [`SigmoidScratch`]).
-    pub fn scratch(&self, slot: usize) -> SigmoidScratch {
+    /// The mid-phase counter state of the ant at `slot`, borrowed from
+    /// the planes (checkpoint capture; see [`SigmoidRow`]).
+    pub fn row(&self, slot: usize) -> SigmoidRow<'_> {
         let k = self.num_tasks;
         let row = slot * k..slot * k + k;
-        SigmoidScratch {
+        SigmoidRow {
             current_task: dec(self.current[slot]),
             have_phase: self.have_phase[slot] == 1,
-            count1: self.count1[row.clone()].to_vec(),
-            count2: self.count2[row.clone()].to_vec(),
-            shat1_lack: self.shat1[row].iter().map(|&b| b == 1).collect(),
+            count1: &self.count1[row.clone()],
+            count2: &self.count2[row.clone()],
+            shat1_lack: &self.shat1[row],
         }
     }
 
@@ -150,20 +151,15 @@ impl PreciseSigmoidBank {
     /// [`PreciseSigmoidBank::reset_slot`] *before* this).
     ///
     /// # Panics
-    /// If the scratch's task count disagrees with the bank's.
-    pub fn apply_scratch(&mut self, slot: usize, s: &SigmoidScratch) {
+    /// If the row's task count disagrees with the bank's.
+    pub fn set_row(&mut self, slot: usize, row: SigmoidRow<'_>) {
         let k = self.num_tasks;
-        assert_eq!(s.count1.len(), k, "task count mismatch");
-        assert_eq!(s.count2.len(), k, "task count mismatch");
-        assert_eq!(s.shat1_lack.len(), k, "task count mismatch");
-        let row = slot * k..slot * k + k;
-        self.current[slot] = enc(s.current_task);
-        self.have_phase[slot] = u8::from(s.have_phase);
-        self.count1[row.clone()].copy_from_slice(&s.count1);
-        self.count2[row.clone()].copy_from_slice(&s.count2);
-        for (dst, &lack) in self.shat1[row].iter_mut().zip(&s.shat1_lack) {
-            *dst = u8::from(lack);
-        }
+        let at = slot * k..slot * k + k;
+        self.current[slot] = enc(row.current_task);
+        self.have_phase[slot] = u8::from(row.have_phase);
+        self.count1[at.clone()].copy_from_slice(row.count1);
+        self.count2[at.clone()].copy_from_slice(row.count2);
+        self.shat1[at].copy_from_slice(row.shat1_lack);
     }
 
     /// The assignment of the ant at `slot`.
@@ -506,7 +502,7 @@ mod tests {
                 // losslessly, so a rebuilt ant continues in lockstep.
                 for (i, ant) in reference.iter().enumerate() {
                     let rebuilt = bank.to_controller(i);
-                    assert_eq!(rebuilt.scratch(), ant.scratch(), "ant {i}");
+                    assert_eq!(rebuilt.row(), ant.row(), "ant {i}");
                     assert_eq!(rebuilt.assignment(), ant.assignment());
                 }
             }
@@ -527,7 +523,7 @@ mod tests {
         let mut bank = PreciseSigmoidBank::new(2, params, 0);
         bank.push_controller(&ant);
         let back = bank.to_controller(0);
-        assert_eq!(back.scratch(), ant.scratch());
+        assert_eq!(back.row(), ant.row());
         assert_eq!(back.assignment(), ant.assignment());
     }
 

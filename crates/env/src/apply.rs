@@ -78,6 +78,14 @@ impl TaskColumn {
             .resize_with(n, || AtomicU32::new(Assignment::RAW_IDLE));
     }
 
+    /// Replaces every slot with the raw values of `raw`, in order,
+    /// reusing the allocation when the column shrinks or keeps its
+    /// length (grow reallocates).
+    pub fn refill(&mut self, raw: impl IntoIterator<Item = u32>) {
+        self.slots.clear();
+        self.slots.extend(raw.into_iter().map(AtomicU32::new));
+    }
+
     /// Appends one slot holding `raw`.
     pub fn push(&mut self, raw: u32) {
         self.slots.push(AtomicU32::new(raw));

@@ -79,6 +79,43 @@ impl ColonyState {
         debug_assert!(self.recount_consistent());
     }
 
+    /// Rebuilds the colony in place over `demands` with one raw
+    /// assignment per ant from `raw` ([`Assignment::RAW_IDLE`] = idle),
+    /// writing the task column, loads, idle count and idle mask in one
+    /// pass and reusing their allocations (checkpoint restore). The
+    /// result equals [`ColonyState::rebuild_in`] followed by one
+    /// [`ColonyState::apply`] per ant.
+    ///
+    /// # Panics
+    /// If `raw` is empty or names a task index `>= demands.len()`.
+    pub fn rebuild_from_raw(&mut self, demands: &[u64], raw: impl IntoIterator<Item = u32>) {
+        self.loads.clear();
+        self.loads.resize(demands.len(), 0);
+        self.demands.rebuild_in(demands);
+        self.idle_words.clear();
+        let (loads, words) = (&mut self.loads, &mut self.idle_words);
+        let (mut n, mut idle, mut word) = (0usize, 0u32, 0u64);
+        self.tasks.refill(raw.into_iter().inspect(|&a| {
+            if a == Assignment::RAW_IDLE {
+                word |= 1 << (n % 64);
+                idle += 1;
+            } else {
+                loads[a as usize] += 1;
+            }
+            n += 1;
+            if n.is_multiple_of(64) {
+                words.push(word);
+                word = 0;
+            }
+        }));
+        assert!(n > 0, "empty colony");
+        if !n.is_multiple_of(64) {
+            words.push(word);
+        }
+        self.idle = idle;
+        debug_assert!(self.recount_consistent());
+    }
+
     /// Number of ants `n`.
     #[inline]
     pub fn num_ants(&self) -> usize {
@@ -321,6 +358,27 @@ mod tests {
 
     fn colony() -> ColonyState {
         ColonyState::new(10, DemandVector::new(vec![3, 4]))
+    }
+
+    #[test]
+    fn rebuild_from_raw_matches_per_ant_apply() {
+        let raw = [1, Assignment::RAW_IDLE, 0, 1, 1, Assignment::RAW_IDLE, 0];
+        for n in [1, 7, 64, 65, 130] {
+            let column: Vec<u32> = (0..n).map(|i| raw[i % raw.len()]).collect();
+            let mut expect = colony();
+            expect.rebuild_in(n, &[5, 6]);
+            for (i, &a) in column.iter().enumerate() {
+                expect.apply(i, Assignment::from_raw(a));
+            }
+            let mut got = colony();
+            got.rebuild_from_raw(&[5, 6], column.iter().copied());
+            assert!(got.recount_consistent(), "n = {n}");
+            assert_eq!(got.assignments(), expect.assignments());
+            assert_eq!(got.loads(), expect.loads());
+            assert_eq!(got.idle_count(), expect.idle_count());
+            assert_eq!(got.idle_mask(), expect.idle_mask());
+            assert_eq!(got.demands(), expect.demands());
+        }
     }
 
     #[test]

@@ -296,16 +296,22 @@ impl ArenaState {
         &self.travel
     }
 
-    /// Restores the position columns from a checkpoint. Site indices
-    /// must already be validated against the geometry.
-    pub(crate) fn set_columns(&mut self, site: &[u32], travel: &[u32]) {
-        debug_assert_eq!(site.len(), travel.len());
-        // audit:allow(cast): u32 → usize widening (usize ≥ 32 bits on supported targets).
-        debug_assert!(site.iter().all(|&s| (s as usize) < self.num_sites.max(1)));
+    /// Restores the position columns from a checkpoint, in global ant
+    /// order. Site indices must already be validated against the
+    /// geometry.
+    pub(crate) fn set_columns(
+        &mut self,
+        site: impl IntoIterator<Item = u32>,
+        travel: impl IntoIterator<Item = u32>,
+    ) {
         self.site.clear();
-        self.site.extend_from_slice(site);
+        self.site.extend(site);
         self.travel.clear();
-        self.travel.extend_from_slice(travel);
+        self.travel.extend(travel);
+        debug_assert_eq!(self.site.len(), self.travel.len());
+        let sites = self.num_sites.max(1);
+        // audit:allow(cast): u32 → usize widening (usize ≥ 32 bits on supported targets).
+        debug_assert!(self.site.iter().all(|&s| (s as usize) < sites));
         self.sense_stale = true;
     }
 }
@@ -513,7 +519,7 @@ mod tests {
                                         (0..n).map(|_| uniform_index(&mut ops, 3) as u32).collect();
                                     o.travel =
                                         (0..n).map(|_| uniform_index(&mut ops, 3) as u32).collect();
-                                    a.set_columns(&o.site, &o.travel);
+                                    a.set_columns(o.site.iter().copied(), o.travel.iter().copied());
                                 }
                                 4 if uniform_index(&mut ops, 4) == 0 => {
                                     let n = 20 + uniform_index(&mut ops, 60);

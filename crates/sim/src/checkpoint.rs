@@ -18,19 +18,26 @@
 //! capture and restore). Only the dynamic state is binary. Streams
 //! older than v8 carried a hand-written binary config encoding; their
 //! frozen readers live in `checkpoint/legacy.rs`, and every version
-//! shares the trigger-state and per-ant tail readers here. The byte
-//! layout, the v2 → … → v8 version history and the read-compat policy
-//! live in `docs/CHECKPOINTS.md`.
+//! shares the trigger-state reader here and the per-ant tail reader in
+//! `checkpoint/tail.rs`. The byte layout, the v2 → … → v8 version
+//! history and the read-compat policy live in `docs/CHECKPOINTS.md`.
+//!
+//! **Flat per-ant state.** A [`Checkpoint`] holds every per-ant section
+//! as the exact v8 tail bytes: [`Checkpoint::capture`] writes them
+//! straight from the engine's columns, [`Checkpoint::to_bytes`] copies
+//! them, [`Checkpoint::from_bytes`] validates and keeps them, and
+//! [`Checkpoint::restore_into`] reads them straight back into the
+//! engine's columns. No call builds a per-ant object.
 //!
 //! **Exactness contract.** Controllers are rebuilt from their spec and
 //! `reset_to(assignment)`, plus — since format v5 — a per-kind
 //! **scratch section** carrying mid-phase state for kinds that
 //! serialize it: Precise Sigmoid's half-phase counters
-//! ([`SigmoidScratch`]), whose `2m = O(1/ε)`-round phases previously
-//! restricted captures to every 2m-th round (and a restore landing
-//! mid-phase silently idled out the partial phase), and — since v6 —
-//! Precise Adversarial's phase trackers
-//! ([`antalloc_core::AdversarialScratch`]), closing the last long-phase
+//! ([`antalloc_core::SigmoidRow`]), whose `2m = O(1/ε)`-round phases
+//! previously restricted captures to every 2m-th round (and a restore
+//! landing mid-phase silently idled out the partial phase), and — since
+//! v6 — Precise Adversarial's phase trackers
+//! ([`antalloc_core::AdversarialRow`]), closing the last long-phase
 //! capture gap. Kinds *without* a
 //! scratch codec still capture only at their phase boundaries
 //! (`round % capture_phase == 0`, see
@@ -49,16 +56,18 @@
 
 use std::path::Path;
 
-use antalloc_core::{AdversarialScratch, ControllerScratch, SigmoidScratch};
-use antalloc_env::{Assignment, DemandVector, Timeline, Trigger, TriggerState};
+use antalloc_env::{DemandVector, Timeline, Trigger, TriggerState};
 use antalloc_noise::NoiseModel;
 use bytes::{Buf, BufMut};
 
-use crate::config::{ControllerSpec, SimConfig};
+use crate::config::SimConfig;
 use crate::engine::SyncEngine;
 use crate::scenario::{config_from_value, noise_from_value, noise_to_value, toml, Value};
 
 mod legacy;
+mod tail;
+
+pub(crate) use tail::Tail;
 
 const MAGIC: u32 = 0x414E_5441; // "ANTA"
 /// The current format version. The v2 → … → v8 evolution, what each
@@ -117,24 +126,12 @@ pub struct Checkpoint {
     cursor: u64,
     /// Runtime state of every timeline trigger (v4; empty before).
     trigger_states: Vec<TriggerState>,
-    assignments: Vec<Assignment>,
-    rng_states: Vec<[u64; 4]>,
     round: u64,
     next_stream: u64,
-    /// Per-ant bank membership for `ControllerSpec::Mix` colonies
-    /// (which sub-spec each global ant id runs); empty otherwise.
-    members: Vec<u16>,
-    /// Mid-phase controller scratch in ascending global-ant order (v5;
-    /// empty before). Only kinds with a scratch codec — Precise
-    /// Sigmoid counters (v5), Precise Adversarial phase trackers (v6)
-    /// and Proportional overload/lack streaks (v7) — produce entries.
-    scratch: Vec<(u32, ControllerScratch)>,
-    /// Per-ant arena site column (v7; empty unless the config pins
-    /// tasks to arena sites).
-    arena_site: Vec<u32>,
-    /// Per-ant remaining travel rounds (v7; same shape as
-    /// `arena_site`).
-    arena_travel: Vec<u32>,
+    /// Every per-ant section — assignments, RNG states, mix membership,
+    /// controller scratch, arena columns — as the exact v8 tail bytes
+    /// (see `checkpoint/tail.rs`).
+    tail: Tail,
 }
 
 impl Checkpoint {
@@ -159,15 +156,10 @@ impl Checkpoint {
             current_demands: state.colony.demands().as_slice().to_vec(),
             current_noise: state.noise.clone(),
             cursor: state.cursor,
-            trigger_states: state.trigger_states,
-            assignments: state.colony.assignments(),
-            rng_states: state.rng_states,
+            trigger_states: state.trigger_states.to_vec(),
             round: state.round,
             next_stream: state.next_stream,
-            members: state.members.unwrap_or_default(),
-            scratch: state.scratch,
-            arena_site: state.arena_site,
-            arena_travel: state.arena_travel,
+            tail: Tail::capture(&state),
         })
     }
 
@@ -191,22 +183,12 @@ impl Checkpoint {
             &self.config,
             &self.current_demands,
             &self.current_noise,
-            &self.assignments,
-            &self.rng_states,
             self.round,
             self.next_stream,
             self.cursor,
-            &self.members,
             &self.trigger_states,
-            &self.scratch,
-            self.arena_columns(),
+            &self.tail,
         );
-    }
-
-    /// The captured arena site/travel columns, if any.
-    fn arena_columns(&self) -> Option<(&[u32], &[u32])> {
-        (!self.arena_site.is_empty())
-            .then_some((self.arena_site.as_slice(), self.arena_travel.as_slice()))
     }
 
     /// Rebases the captured state onto a *different* configuration —
@@ -245,15 +227,11 @@ impl Checkpoint {
             config,
             demands,
             noise,
-            &self.assignments,
-            &self.rng_states,
             self.round,
             self.next_stream,
             cursor,
-            &self.members,
             &self.trigger_states,
-            &self.scratch,
-            self.arena_columns(),
+            &self.tail,
         );
     }
 
@@ -274,7 +252,7 @@ impl Checkpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
         let config = self.config.to_toml();
         let noise = toml::write(&noise_to_value(&self.current_noise));
-        let mut out = Vec::with_capacity(64 + self.assignments.len() * 36);
+        let mut out = Vec::with_capacity(256 + config.len() + noise.len() + self.tail.len());
         out.put_u32_le(MAGIC);
         out.put_u32_le(VERSION);
         out.put_u64_le(self.round);
@@ -302,84 +280,7 @@ impl Checkpoint {
                 out.put_i64_le(prev);
             }
         }
-        out.put_u64_le(self.assignments.len() as u64);
-        for a in &self.assignments {
-            out.put_u32_le(match a {
-                Assignment::Idle => u32::MAX,
-                Assignment::Task(j) => *j,
-            });
-        }
-        for s in &self.rng_states {
-            for &w in s {
-                out.put_u64_le(w);
-            }
-        }
-        // v2: per-ant bank membership, present iff the spec is a Mix.
-        if matches!(self.config.controller, ControllerSpec::Mix(_)) {
-            out.put_u64_le(self.members.len() as u64);
-            for &m in &self.members {
-                out.put_u16_le(m);
-            }
-        }
-        // v5: per-kind controller scratch, ascending global-ant order.
-        out.put_u64_le(self.scratch.len() as u64);
-        for (ant, scratch) in &self.scratch {
-            out.put_u32_le(*ant);
-            match scratch {
-                ControllerScratch::PreciseSigmoid(s) => {
-                    out.put_u8(0);
-                    out.put_u32_le(match s.current_task {
-                        Assignment::Idle => u32::MAX,
-                        Assignment::Task(j) => j,
-                    });
-                    out.put_u8(u8::from(s.have_phase));
-                    for &c in &s.count1 {
-                        out.put_u16_le(c);
-                    }
-                    for &c in &s.count2 {
-                        out.put_u16_le(c);
-                    }
-                    for &l in &s.shat1_lack {
-                        out.put_u8(u8::from(l));
-                    }
-                }
-                // v6: Precise Adversarial phase trackers.
-                ControllerScratch::PreciseAdversarial(s) => {
-                    out.put_u8(1);
-                    out.put_u32_le(match s.current_task {
-                        Assignment::Idle => u32::MAX,
-                        Assignment::Task(j) => j,
-                    });
-                    out.put_u8(u8::from(s.have_phase));
-                    out.put_u8(u8::from(s.all_overload));
-                    out.put_u8(u8::from(s.frozen_working));
-                    out.put_u8(u8::from(s.pending_first_lack));
-                    out.put_u8(match s.working_at_first_lack {
-                        None => 0,
-                        Some(false) => 1,
-                        Some(true) => 2,
-                    });
-                    for &l in &s.all_lack {
-                        out.put_u8(u8::from(l));
-                    }
-                }
-                // v7: Proportional overload/lack streak.
-                ControllerScratch::Proportional(streak) => {
-                    out.put_u8(2);
-                    out.put_u16_le(*streak);
-                }
-            }
-        }
-        // v7: per-ant arena columns (site, then travel), present iff
-        // the config carries an arena; lengths equal the ant count.
-        if self.config.arena.is_some() {
-            for &site in &self.arena_site {
-                out.put_u32_le(site);
-            }
-            for &travel in &self.arena_travel {
-                out.put_u32_le(travel);
-            }
-        }
+        self.tail.write(&mut out);
         out
     }
 
@@ -401,22 +302,33 @@ impl Checkpoint {
         } else {
             read_head(&mut buf)?
         };
-        // Crafted live state must fail here, not panic in `restore()`.
+        // Crafted live state must fail here, not panic in `restore()`
+        // or in the deficit arithmetic, which runs in `i64`.
         let k = head.config.demands.len();
-        if head.current_demands.len() != k || head.current_demands.contains(&0) {
+        let in_range = |&d: &u64| d > 0 && i64::try_from(d).is_ok();
+        if head.current_demands.len() != k || !head.current_demands.iter().all(in_range) {
             return Err(corrupt(format!(
-                "current demands must be {k} positive values, got {} values",
+                "current demands must be {k} values in 1..=i64::MAX, got {} values",
                 head.current_demands.len()
             )));
         }
         head.current_noise
             .validate(k)
             .map_err(|e| corrupt(format!("invalid live noise model: {e}")))?;
-        let checkpoint = read_tail(&mut buf, version, head, round, next_stream)?;
+        let tail = Tail::read(&mut buf, version, &head.config)?;
         if !buf.is_empty() {
             return Err(corrupt("trailing bytes"));
         }
-        Ok(checkpoint)
+        Ok(Checkpoint {
+            config: head.config,
+            current_demands: head.current_demands,
+            current_noise: head.current_noise,
+            cursor: head.cursor,
+            trigger_states: head.trigger_states,
+            round,
+            next_stream,
+            tail,
+        })
     }
 
     /// Writes the checkpoint to a file.
@@ -566,254 +478,6 @@ fn get_trigger_states(
     Ok(states)
 }
 
-/// Reads the per-ant tail every version shares — assignments, RNG
-/// states, `Mix` membership (v2), controller scratch (v5) and arena
-/// columns (v7) — and assembles the checkpoint.
-fn read_tail(
-    buf: &mut &[u8],
-    version: u32,
-    head: Head,
-    round: u64,
-    next_stream: u64,
-) -> Result<Checkpoint, CheckpointError> {
-    let k = head.config.demands.len();
-    let controller = &head.config.controller;
-    let ants = get_u64(buf)? as usize;
-    // Validate the claimed count against the bytes actually present
-    // (4 per assignment + 32 per RNG state) before any allocation —
-    // a corrupted count must not drive `with_capacity` to OOM.
-    let per_ant = 4usize + 32;
-    if buf.remaining() / per_ant < ants {
-        return Err(corrupt(format!(
-            "ant count {ants} exceeds remaining payload"
-        )));
-    }
-    let mut assignments = Vec::with_capacity(ants);
-    for i in 0..ants {
-        let raw = get_u32(buf)?;
-        assignments.push(if raw == u32::MAX {
-            Assignment::Idle
-        } else if (raw as usize) < k {
-            Assignment::Task(raw)
-        } else {
-            // Crafted bytes must fail here, not panic in `restore()`.
-            return Err(corrupt(format!(
-                "ant {i} is assigned to task {raw} but the scenario has {k} tasks"
-            )));
-        });
-    }
-    let mut rng_states = Vec::with_capacity(ants);
-    for _ in 0..ants {
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = get_u64(buf)?;
-        }
-        rng_states.push(s);
-    }
-    let members = if let ControllerSpec::Mix(parts) = controller {
-        let len = get_u64(buf)? as usize;
-        if len != ants {
-            return Err(corrupt(format!(
-                "membership length {len} disagrees with ant count {ants}"
-            )));
-        }
-        let mut members = Vec::with_capacity(len);
-        for _ in 0..len {
-            let m = get_u16(buf)?;
-            if usize::from(m) >= parts.len() {
-                return Err(corrupt(format!(
-                    "membership {m} references unknown sub-spec"
-                )));
-            }
-            members.push(m);
-        }
-        members
-    } else {
-        Vec::new()
-    };
-    let scratch = if version >= 5 {
-        let count = get_u64(buf)? as usize;
-        // Minimum per-entry size across the scratch kinds: Precise
-        // Sigmoid is ant id + tag + currentTask + have_phase + two
-        // u16 counter rows + one median-bit row (10 + 5k); Precise
-        // Adversarial is ant id + tag + currentTask + five flag
-        // bytes + one lack-bit row (14 + k); Proportional is ant id
-        // + tag + streak (7). Validate the claimed count against
-        // the bytes present before any allocation.
-        let per_entry = (4 + 1 + 4 + 1 + k * 5)
-            .min(4 + 1 + 4 + 5 + k)
-            .min(4 + 1 + 2);
-        if count > ants || buf.remaining() / per_entry < count {
-            return Err(corrupt(format!(
-                "scratch count {count} exceeds payload or ant count {ants}"
-            )));
-        }
-        // The spec each ant runs: crafted scratch for an ant of another
-        // kind must fail here, not panic in `restore()`.
-        let spec_of = |ant: usize| -> Option<&ControllerSpec> {
-            match controller {
-                ControllerSpec::Mix(parts) => {
-                    let m = usize::from(*members.get(ant)?);
-                    parts.get(m).map(|(_, spec)| spec)
-                }
-                spec => Some(spec),
-            }
-        };
-        let mut scratch: Vec<(u32, ControllerScratch)> = Vec::with_capacity(count);
-        for _ in 0..count {
-            let ant = get_u32(buf)?;
-            if ant as usize >= ants {
-                return Err(corrupt(format!("scratch ant {ant} out of range")));
-            }
-            if let Some(&(prev, _)) = scratch.last() {
-                if ant <= prev {
-                    return Err(corrupt("scratch entries out of order"));
-                }
-            }
-            let spec = spec_of(ant as usize);
-            let entry = match get_u8(buf)? {
-                0 => {
-                    // The phase half-length m bounds the counters.
-                    let Some(ControllerSpec::PreciseSigmoid(p)) = spec else {
-                        return Err(corrupt(format!(
-                            "scratch for ant {ant}, which runs no Precise Sigmoid"
-                        )));
-                    };
-                    let m = p.m();
-                    let current_task = get_scratch_task(buf, k)?;
-                    let have_phase = get_bool(buf)?;
-                    let mut counts = [Vec::with_capacity(k), Vec::with_capacity(k)];
-                    for half in &mut counts {
-                        for _ in 0..k {
-                            let c = get_u16(buf)?;
-                            if u64::from(c) > m {
-                                return Err(corrupt(format!(
-                                    "scratch counter {c} exceeds half-phase length {m}"
-                                )));
-                            }
-                            half.push(c);
-                        }
-                    }
-                    let [count1, count2] = counts;
-                    let mut shat1_lack = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        shat1_lack.push(get_u8(buf)? != 0);
-                    }
-                    ControllerScratch::PreciseSigmoid(SigmoidScratch {
-                        current_task,
-                        have_phase,
-                        count1,
-                        count2,
-                        shat1_lack,
-                    })
-                }
-                1 => {
-                    if !matches!(spec, Some(ControllerSpec::PreciseAdversarial(_))) {
-                        return Err(corrupt(format!(
-                            "scratch for ant {ant}, which runs no Precise Adversarial"
-                        )));
-                    }
-                    let current_task = get_scratch_task(buf, k)?;
-                    let have_phase = get_bool(buf)?;
-                    let all_overload = get_bool(buf)?;
-                    let frozen_working = get_bool(buf)?;
-                    let pending_first_lack = get_bool(buf)?;
-                    let working_at_first_lack = match get_u8(buf)? {
-                        0 => None,
-                        1 => Some(false),
-                        2 => Some(true),
-                        t => return Err(corrupt(format!("unknown first-lack tri-state {t}"))),
-                    };
-                    let mut all_lack = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        all_lack.push(get_u8(buf)? != 0);
-                    }
-                    ControllerScratch::PreciseAdversarial(AdversarialScratch {
-                        current_task,
-                        have_phase,
-                        all_lack,
-                        all_overload,
-                        working_at_first_lack,
-                        pending_first_lack,
-                        frozen_working,
-                    })
-                }
-                2 => {
-                    if !matches!(spec, Some(ControllerSpec::Proportional(_))) {
-                        return Err(corrupt(format!(
-                            "scratch for ant {ant}, which runs no Proportional controller"
-                        )));
-                    }
-                    ControllerScratch::Proportional(get_u16(buf)?)
-                }
-                t => return Err(corrupt(format!("unknown scratch tag {t}"))),
-            };
-            scratch.push((ant, entry));
-        }
-        scratch
-    } else {
-        // Pre-v5 captures were phase-boundary-only: no mid-phase
-        // state existed to serialize.
-        Vec::new()
-    };
-    // v7: the per-ant arena columns close the stream (present iff the
-    // config carries an arena, which pre-v7 configs never do).
-    let (arena_site, arena_travel) = if let Some(cfg) = &head.config.arena {
-        let num_sites = cfg.num_sites() as u32;
-        let mut site = Vec::with_capacity(ants);
-        for _ in 0..ants {
-            let s = get_u32(buf)?;
-            if s >= num_sites {
-                return Err(corrupt(format!(
-                    "arena site {s} out of range (the arena has {num_sites} sites)"
-                )));
-            }
-            site.push(s);
-        }
-        let mut travel = Vec::with_capacity(ants);
-        for _ in 0..ants {
-            let t = get_u32(buf)?;
-            if t > cfg.travel_rounds {
-                return Err(corrupt(format!(
-                    "arena travel {t} exceeds the travel latency {}",
-                    cfg.travel_rounds
-                )));
-            }
-            travel.push(t);
-        }
-        (site, travel)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    Ok(Checkpoint {
-        config: head.config,
-        current_demands: head.current_demands,
-        current_noise: head.current_noise,
-        cursor: head.cursor,
-        trigger_states: head.trigger_states,
-        assignments,
-        rng_states,
-        round,
-        next_stream,
-        members,
-        scratch,
-        arena_site,
-        arena_travel,
-    })
-}
-
-/// A scratch entry's `currentTask`: idle or a task index below `k`.
-fn get_scratch_task(buf: &mut &[u8], k: usize) -> Result<Assignment, CheckpointError> {
-    let raw = get_u32(buf)?;
-    if raw == u32::MAX {
-        Ok(Assignment::Idle)
-    } else if (raw as usize) < k {
-        Ok(Assignment::Task(raw))
-    } else {
-        Err(corrupt(format!("scratch task {raw} out of range")))
-    }
-}
-
 fn corrupt(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt(msg.into())
 }
@@ -906,6 +570,7 @@ fn get_toml(buf: &mut &[u8]) -> Result<Value, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ControllerSpec;
     use crate::observer::NullObserver;
     use antalloc_core::{
         AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
@@ -1027,29 +692,69 @@ mod tests {
 
     #[test]
     fn random_byte_mutations_never_panic() {
-        // Fuzz the decoder: flipping any single byte must yield either a
-        // clean error or a decoded checkpoint — never a panic. (Length
-        // fields are validated before allocation.) In v8 the first
-        // bytes are mostly TOML text, so the flips also stride across
-        // the whole stream to reach the binary tail: assignments, RNG
-        // states, mix membership, scratch and arena columns.
+        // Fuzz the decoder and the restore: flipping any single byte
+        // must yield either a clean error or a checkpoint that restores
+        // and steps — never a panic. (Length fields are validated
+        // before allocation.) In v8 the first bytes are mostly TOML
+        // text, so the flips also stride across the whole stream to
+        // reach the binary tail: assignments, RNG states, mix
+        // membership, scratch of every tag and arena columns.
         let mut obs = NullObserver;
         let mut plain = config().build();
         plain.run(4, &mut obs);
         let mut rich = out_of_spec_config().build();
         rich.run(14, &mut obs);
-        for engine in [&plain, &rich] {
+        let mut phased = scratch_mix_config().build();
+        phased.run(8, &mut obs);
+        let tags = Checkpoint::capture(&phased).unwrap().tail.scratch_count();
+        assert!(tags > 60, "30 + 30 mid-phase ants plus streaks, got {tags}");
+        for engine in [&plain, &rich, &phased] {
             let bytes = Checkpoint::capture(engine).unwrap().to_bytes();
+            let mut decoded = 0;
             for i in (0..bytes.len()).filter(|&i| i < 512 || i % 7 == 0) {
                 let mut mutated = bytes.clone();
                 mutated[i] ^= 0x5A;
-                let _ = Checkpoint::from_bytes(&mutated);
+                if let Ok(cp) = Checkpoint::from_bytes(&mutated) {
+                    let mut resumed = cp.restore();
+                    resumed.run(2, &mut obs);
+                    decoded += 1;
+                }
             }
+            assert!(decoded > 0, "some flips land in the per-ant state");
             // Random truncations likewise.
             for len in [0usize, 1, 7, 8, 9, bytes.len() / 2, bytes.len() - 1] {
                 let _ = Checkpoint::from_bytes(&bytes[..len]);
             }
         }
+    }
+
+    /// A mix whose stream carries all three scratch tags: Precise
+    /// Sigmoid and Precise Adversarial ants mid-phase at any round
+    /// below 82, and (early on, while the colony settles) Proportional
+    /// streaks.
+    fn scratch_mix_config() -> SimConfig {
+        SimConfig::builder(90, vec![20, 25])
+            .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+            .controller(ControllerSpec::Mix(vec![
+                (
+                    1.0,
+                    ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
+                ),
+                (
+                    1.0,
+                    ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
+                ),
+                (
+                    1.0,
+                    ControllerSpec::Proportional(ProportionalParams {
+                        gain: 0.25,
+                        deadband: 3,
+                    }),
+                ),
+            ]))
+            .seed(41)
+            .build()
+            .expect("valid scenario")
     }
 
     /// A config outside the parameter windows (Ant with γ > 1/16,
@@ -1117,7 +822,7 @@ mod tests {
         let mut full = cfg.build();
         full.run(14, &mut obs);
         let cp = Checkpoint::capture(&full).unwrap();
-        assert!(!cp.scratch.is_empty() && !cp.arena_site.is_empty());
+        assert!(cp.tail.scratch_count() > 0 && cp.tail.arena_columns().is_some());
         let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
         assert_eq!(back, cp);
         assert_eq!(back.config(), &cfg);
@@ -1224,10 +929,24 @@ mod tests {
     }
 
     #[test]
+    fn current_demands_beyond_i64_are_corrupt() {
+        // Deficits are `d as i64 - load`: a demand above `i64::MAX`
+        // would wrap (and overflow-panic in checked builds) on the first
+        // round after `restore()`.
+        let mut e = config().build();
+        e.run(2, &mut NullObserver);
+        let mut bytes = Checkpoint::capture(&e).unwrap().to_bytes();
+        let at = config_section(&bytes).end + 8;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        let err = Checkpoint::from_bytes(&bytes).expect_err("must reject");
+        assert!(err.to_string().contains("current demands"), "{err}");
+    }
+
+    #[test]
     fn scratch_for_non_sigmoid_colonies_is_rejected_not_panicked() {
         // A crafted v5 stream that claims Precise Sigmoid scratch for an
         // Ant colony must come back as a clean corrupt error — reaching
-        // `restore()` would panic in `apply_scratch`.
+        // `restore()` would find no sigmoid bank to decode it into.
         let mut e = config().build(); // Ant colony, 2 tasks
         let mut obs = NullObserver;
         e.run(2, &mut obs);

@@ -170,18 +170,16 @@ impl ControllerSpec {
                 b.reinit(num_tasks, *p, ids.len());
             }
             (ControllerSpec::AntDesync(p), ControllerBank::Ant(ants)) => {
-                ants.clear();
-                ants.extend(
-                    ids.iter()
-                        .map(|&i| AlgorithmAnt::with_phase_offset(num_tasks, *p, u64::from(i % 2))),
-                );
+                let fresh =
+                    [0, 1].map(|offset| AlgorithmAnt::with_phase_offset(num_tasks, *p, offset));
+                refill_from(ants, ids, |i| &fresh[(i % 2) as usize]);
             }
             (ControllerSpec::PreciseSigmoid(p), ControllerBank::PreciseSigmoid(b)) => {
                 b.reinit(num_tasks, *p, ids.len());
             }
             (ControllerSpec::PreciseAdversarial(p), ControllerBank::PreciseAdversarial(ants)) => {
-                ants.clear();
-                ants.extend(ids.iter().map(|_| PreciseAdversarial::new(num_tasks, *p)));
+                let fresh = PreciseAdversarial::new(num_tasks, *p);
+                refill_from(ants, ids, |_| &fresh);
             }
             (ControllerSpec::Trivial, ControllerBank::Trivial(b)) => {
                 b.reinit(num_tasks, ids.len());
@@ -233,8 +231,9 @@ impl ControllerSpec {
 
     /// The phase granularity at which **checkpoints** can capture —
     /// like [`ControllerSpec::phase_len`], except that kinds whose
-    /// mid-phase state is fully serialized as
-    /// [`antalloc_core::ControllerScratch`] contribute 1: Precise
+    /// mid-phase state is fully serialized in the checkpoint's scratch
+    /// section ([`antalloc_core::SigmoidRow`],
+    /// [`antalloc_core::AdversarialRow`]) contribute 1: Precise
     /// Sigmoid's counters travel in the checkpoint (format v5) and
     /// Precise Adversarial's phase trackers since v6, so their
     /// `O(1/ε)`-round phases no longer restrict capture rounds.
@@ -256,6 +255,18 @@ impl ControllerSpec {
             _ => None,
         }
     }
+}
+
+/// Rebuilds a per-ant bank to one controller per id in `ids`, each a
+/// copy of `fresh(id)`, cloning into the controllers already there so
+/// their buffers are reused.
+fn refill_from<'a, T: Clone + 'a>(bank: &mut Vec<T>, ids: &[u32], fresh: impl Fn(u32) -> &'a T) {
+    bank.truncate(ids.len());
+    for (c, &i) in bank.iter_mut().zip(ids) {
+        c.clone_from(fresh(i));
+    }
+    let kept = bank.len();
+    bank.extend(ids[kept..].iter().map(|&i| fresh(i).clone()));
 }
 
 /// Least common multiple, saturating at `u64::MAX`.

@@ -39,17 +39,18 @@
 //! `tests/golden_traces.rs` and the bank property tests in
 //! `tests/banks.rs` hold this contract down.
 
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 use antalloc_core::AnyController;
 use antalloc_env::{
-    Assignment, ColonyState, ColonyView, ColumnWriter, DemandVector, Event, InitialConfig,
-    Perturbation, RoundDelta, TaskColumn, Timeline, TriggerState,
+    ColonyState, ColonyView, ColumnWriter, DemandVector, Event, InitialConfig, Perturbation,
+    RoundDelta, TaskColumn, Timeline, TriggerState,
 };
 use antalloc_noise::{NoiseModel, PreparedRound, SensedRound};
 use antalloc_rng::{reserved, AntRng, StreamSeeder};
 
 use crate::arena::ArenaState;
+use crate::checkpoint::Tail;
 use crate::config::{ControllerSpec, SimConfig};
 use crate::observer::Observer;
 use crate::pool::{DeltaSlot, RoundBarrier};
@@ -269,7 +270,8 @@ impl RoundRecord<'_> {
     }
 }
 
-/// Checkpointable engine state, borrowed from a live engine.
+/// Checkpointable engine state, borrowed from a live engine: a capture
+/// reads every per-ant column in place (see `checkpoint/tail.rs`).
 pub(crate) struct EngineState<'a> {
     /// The configuration (including the full timeline).
     pub config: &'a SimConfig,
@@ -278,8 +280,10 @@ pub(crate) struct EngineState<'a> {
     /// The noise model currently in force (timeline `SetNoise` events
     /// may have switched it away from `config.noise`).
     pub noise: &'a NoiseModel,
-    /// Per-ant RNG states in global ant order.
-    pub rng_states: Vec<[u64; 4]>,
+    /// The banked controllers, their RNG streams and the ant index.
+    pub population: &'a Population,
+    /// The arena's position columns; `None` for well-mixed scenarios.
+    pub arena: Option<RwLockReadGuard<'a, ArenaState>>,
     /// The current round.
     pub round: u64,
     /// Next RNG stream id for spawned ants.
@@ -287,19 +291,8 @@ pub(crate) struct EngineState<'a> {
     /// One-shot timeline events already consumed (indexes the
     /// *compiled* timeline: scripted plus generated events).
     pub cursor: u64,
-    /// Per-ant bank membership for mixed colonies.
-    pub members: Option<Vec<u16>>,
     /// Runtime state of every timeline trigger, in timeline order.
-    pub trigger_states: Vec<TriggerState>,
-    /// Mid-phase controller scratch (Precise Sigmoid counters), in
-    /// global ant order; empty for scratch-free colonies.
-    pub scratch: Vec<(u32, antalloc_core::ControllerScratch)>,
-    /// Arena position column (site per ant, global ant order); empty
-    /// for well-mixed scenarios.
-    pub arena_site: Vec<u32>,
-    /// Arena travel column (transit rounds remaining per ant); empty
-    /// for well-mixed scenarios.
-    pub arena_travel: Vec<u32>,
+    pub trigger_states: &'a [TriggerState],
 }
 
 /// One bank's slice of the colony, as seen by [`SyncEngine::bank_census`].
@@ -834,84 +827,61 @@ impl SyncEngine {
 
     /// Accessors used by checkpointing; see [`EngineState`].
     pub(crate) fn state_parts(&self) -> EngineState<'_> {
-        let members = if self.population.is_mixed() {
-            Some(self.population.members())
-        } else {
-            None
-        };
-        let (arena_site, arena_travel) = match &self.arena {
-            Some(l) => {
-                let a = l.read().unwrap_or_else(PoisonError::into_inner);
-                (a.site().to_vec(), a.travel().to_vec())
-            }
-            None => (Vec::new(), Vec::new()),
-        };
         EngineState {
             config: &self.config,
             colony: &self.colony,
             noise: &self.noise,
-            rng_states: self.population.rng_states(),
+            population: &self.population,
+            arena: self
+                .arena
+                .as_ref()
+                .map(|l| l.read().unwrap_or_else(PoisonError::into_inner)),
             round: self.round,
             next_stream: self.next_stream,
             cursor: self.timeline.cursor as u64,
-            members,
-            trigger_states: self.timeline.trigger_states.clone(),
-            scratch: self.population.scratches(),
-            arena_site,
-            arena_travel,
+            trigger_states: &self.timeline.trigger_states,
         }
     }
 
     /// Rebuilds this engine in place from checkpointed parts, reusing
     /// allocations like [`SyncEngine::reset_from`] (the restore-into-a-
     /// reused-engine path; `Checkpoint::restore` routes through it too,
-    /// via a freshly built shell). `members` carries the
-    /// per-ant bank membership for mixed colonies (empty otherwise);
-    /// `noise` is the model in force at capture time (it may differ
-    /// from `config.noise` after a `SetNoise` event); `cursor` is the
-    /// number of one-shot events of the *compiled* timeline already
-    /// consumed (generators re-expand identically from the seed);
-    /// `trigger_states` is the captured runtime state of every trigger
-    /// (empty for pre-trigger checkpoint formats, which cannot carry
-    /// triggers in the first place); `scratch` carries mid-phase
-    /// controller counters (Precise Sigmoid) for captures between phase
-    /// boundaries (empty for pre-v5 formats, whose captures were
-    /// boundary-only and therefore scratch-free).
+    /// via a freshly built shell). `noise` is the model in force at
+    /// capture time (it may differ from `config.noise` after a
+    /// `SetNoise` event); `cursor` is the number of one-shot events of
+    /// the *compiled* timeline already consumed (generators re-expand
+    /// identically from the seed); `trigger_states` is the captured
+    /// runtime state of every trigger (empty for pre-trigger checkpoint
+    /// formats, which cannot carry triggers in the first place). The
+    /// per-ant state comes from the validated `tail`, written straight
+    /// into the colony column, the banks (captured RNG streams, no
+    /// re-derivation) and the arena columns.
     #[allow(clippy::too_many_arguments)] // checkpoint-internal plumbing
     pub(crate) fn restore_parts_in(
         &mut self,
         config: &SimConfig,
         demands: &[u64],
         noise: &NoiseModel,
-        assignments: &[Assignment],
-        rng_states: &[[u64; 4]],
         round: u64,
         next_stream: u64,
         cursor: u64,
-        members: &[u16],
         trigger_states: &[TriggerState],
-        scratch: &[(u32, antalloc_core::ControllerScratch)],
-        arena_columns: Option<(&[u32], &[u32])>,
+        tail: &Tail,
     ) {
-        let n = assignments.len();
         let k = demands.len();
         self.config.clone_from(config);
-        self.colony.rebuild_in(n, demands);
-        for (i, &a) in assignments.iter().enumerate() {
-            self.colony.apply(i, a);
-        }
-        if members.is_empty() {
-            self.population
-                .rebuild_in(&config.controller, config.seed, k, n);
-        } else {
-            self.population
-                .rebuild_from_members_in(&config.controller, config.seed, k, members);
-        }
+        self.colony.rebuild_from_raw(demands, tail.assignments());
+        let n = self.colony.num_ants();
+        self.population.restore_in(
+            &config.controller,
+            config.seed,
+            k,
+            n,
+            tail.members(),
+            &|i| tail.rng(i),
+        );
         self.population.reset_to_colony(&self.colony);
-        self.population.set_rng_states(rng_states);
-        for (i, s) in scratch {
-            self.population.apply_scratch(*i as usize, s);
-        }
+        tail.restore_scratch(k, &mut self.population);
         self.noise.clone_from(noise);
         self.seeder = StreamSeeder::new(config.seed);
         self.init_rng = self.seeder.stream(reserved::INIT);
@@ -930,12 +900,11 @@ impl SyncEngine {
         self.next_column.reset(n);
         self.round_delta.reset(k);
         self.arena = config.arena.as_ref().map(|a| {
-            let mut state = ArenaState::new(a, n, config.seed);
-            match arena_columns {
+            let mut state = ArenaState::new(a, 0, config.seed);
+            match tail.arena_columns() {
                 Some((site, travel)) => state.set_columns(site, travel),
-                // Defensive: a checkpoint that carries an arena config
-                // always carries its columns; re-derive from the colony
-                // if one somehow does not.
+                // A fork that adds an arena to a well-mixed capture has
+                // no columns to restore; derive them from the colony.
                 None => state.sync_to_colony(&self.colony),
             }
             RwLock::new(state)

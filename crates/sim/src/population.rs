@@ -33,7 +33,7 @@
 //! stream keyed by their RNG stream id, so checkpoint + spawn replays
 //! bit-identically to an uninterrupted run.
 
-use antalloc_core::{AnyController, BankSliceMut, ControllerBank, ControllerScratch};
+use antalloc_core::{AnyController, BankSliceMut, ControllerBank};
 use antalloc_env::{Assignment, ColonyState};
 use antalloc_noise::PreparedRound;
 use antalloc_rng::{reserved, uniform_index, AntRng, StreamSeeder};
@@ -58,15 +58,24 @@ pub(crate) struct Bank {
 }
 
 impl Bank {
-    fn new(spec: ControllerSpec, num_tasks: usize, ids: Vec<u32>, seeder: &StreamSeeder) -> Self {
-        let controllers = spec.build_bank(num_tasks, &ids);
-        let rngs = ids.iter().map(|&i| seeder.ant(i as usize)).collect();
+    /// An empty bank running `spec`.
+    fn empty(spec: &ControllerSpec, num_tasks: usize) -> Self {
         Self {
-            spec,
-            controllers,
-            rngs,
-            ants: ids,
+            spec: spec.clone(),
+            controllers: spec.build_bank(num_tasks, &[]),
+            rngs: Vec::new(),
+            ants: Vec::new(),
         }
+    }
+
+    /// Rebuilds the bank's controllers in place to fresh `spec` ones for
+    /// the ants `self.ants` lists, reusing the allocations wherever the
+    /// kind carries over.
+    fn rebuild_controllers(&mut self, spec: &ControllerSpec, num_tasks: usize) {
+        if self.spec != *spec {
+            self.spec = spec.clone();
+        }
+        spec.rebuild_bank(num_tasks, &self.ants, &mut self.controllers);
     }
 
     pub fn len(&self) -> usize {
@@ -159,174 +168,126 @@ pub(crate) fn mix_members(seed: u64, weights: &[f64], n: usize) -> Vec<u16> {
 impl Population {
     /// Builds the population for `spec` with ants `0..n`.
     pub fn build(spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) -> Self {
-        match spec.mix_parts() {
-            None => {
-                let seeder = StreamSeeder::new(seed);
-                let ids: Vec<u32> = (0..n as u32).collect();
-                let bank = Bank::new(spec.clone(), num_tasks, ids, &seeder);
-                Self {
-                    index: (0..n as u32).map(|s| (0, s)).collect(),
-                    banks: vec![bank],
-                    mix: None,
-                }
-            }
-            Some(parts) => {
-                let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
-                let members = mix_members(seed, &weights, n);
-                Self::from_members(spec, seed, num_tasks, &members)
-            }
-        }
-    }
-
-    /// Rebuilds a population from an explicit membership vector (the
-    /// checkpoint-restore path; kills permute memberships, so they
-    /// cannot be recomputed from the seed).
-    pub fn from_members(
-        spec: &ControllerSpec,
-        seed: u64,
-        num_tasks: usize,
-        members: &[u16],
-    ) -> Self {
-        let seeder = StreamSeeder::new(seed);
-        match spec.mix_parts() {
-            None => Self::build(spec, seed, num_tasks, members.len()),
-            Some(parts) => {
-                let mut bank_ids: Vec<Vec<u32>> = vec![Vec::new(); parts.len()];
-                let mut index = vec![(0u32, 0u32); members.len()];
-                for (i, &b) in members.iter().enumerate() {
-                    let b = b as usize;
-                    assert!(b < parts.len(), "membership references unknown sub-spec");
-                    index[i] = (b as u32, bank_ids[b].len() as u32);
-                    bank_ids[b].push(i as u32);
-                }
-                let banks = parts
-                    .iter()
-                    .zip(bank_ids)
-                    .map(|((_, sub), ids)| Bank::new(sub.clone(), num_tasks, ids, &seeder))
-                    .collect();
-                let weights = parts.iter().map(|(w, _)| *w).collect();
-                Self {
-                    banks,
-                    index,
-                    mix: Some(MixMembership::new(seed, weights)),
-                }
-            }
-        }
+        let mut population = Self {
+            banks: Vec::new(),
+            index: Vec::new(),
+            mix: None,
+        };
+        population.rebuild_in(spec, seed, num_tasks, n);
+        population
     }
 
     /// Rebuilds this population in place to the state
     /// [`Population::build`] would produce, reusing bank, RNG and index
     /// allocations whenever the bank structure carries over (the
     /// engine-reuse fast path for sweeps; shrink keeps capacity, grow
-    /// reallocates). Falls back to a fresh build when the number of
-    /// banks changes (e.g. homogeneous ↔ mix, or a different mix
-    /// arity).
+    /// reallocates). Starts from empty banks when the number of banks
+    /// changes (e.g. homogeneous ↔ mix, or a different mix arity).
     pub fn rebuild_in(&mut self, spec: &ControllerSpec, seed: u64, num_tasks: usize, n: usize) {
+        let seeder = StreamSeeder::new(seed);
+        let stream = |i: u32| seeder.ant(i as usize);
         match spec.mix_parts() {
-            None => self.rebuild_homogeneous(spec, seed, num_tasks, n),
-            Some(_) => {
+            None => self.rebuild_homogeneous(spec, num_tasks, n, &stream),
+            Some(parts) => {
                 // Membership is a pure function of (seed, weights, n);
                 // the O(n) vector is transient, unlike the banks.
-                let members = Self::initial_members(spec, seed, n);
-                self.rebuild_with_members(spec, seed, num_tasks, &members);
+                let weights: Vec<f64> = parts.iter().map(|(w, _)| *w).collect();
+                let members = mix_members(seed, &weights, n);
+                self.rebuild_mixed(spec, seed, num_tasks, members, &stream);
             }
         }
     }
 
-    /// In-place counterpart of [`Population::from_members`] (the
-    /// checkpoint-restore-into-a-reused-engine path).
-    pub fn rebuild_from_members_in(
-        &mut self,
-        spec: &ControllerSpec,
-        seed: u64,
-        num_tasks: usize,
-        members: &[u16],
-    ) {
-        match spec.mix_parts() {
-            None => self.rebuild_homogeneous(spec, seed, num_tasks, members.len()),
-            Some(_) => self.rebuild_with_members(spec, seed, num_tasks, members),
-        }
-    }
-
-    /// The deterministic initial membership vector for a mix spec.
-    fn initial_members(spec: &ControllerSpec, seed: u64, n: usize) -> Vec<u16> {
-        let weights: Vec<f64> = match spec.mix_parts() {
-            Some(parts) => parts.iter().map(|(w, _)| *w).collect(),
-            None => Vec::new(),
-        };
-        assert!(!weights.is_empty(), "initial_members requires a mix spec");
-        mix_members(seed, &weights, n)
-    }
-
-    fn rebuild_homogeneous(
+    /// Rebuilds this population in place from checkpointed state (the
+    /// restore path): `n` ants, `members` their bank indices in global
+    /// ant order (read only for a mix spec — kills permute memberships,
+    /// so they cannot be recomputed from the seed), and `stream(i)` ant
+    /// `i`'s captured RNG. Controllers come out fresh; callers follow
+    /// with [`Population::reset_to_colony`] and the captured scratch.
+    pub fn restore_in(
         &mut self,
         spec: &ControllerSpec,
         seed: u64,
         num_tasks: usize,
         n: usize,
+        members: impl IntoIterator<Item = u16, IntoIter: Clone>,
+        stream: &impl Fn(u32) -> AntRng,
     ) {
-        let seeder = StreamSeeder::new(seed);
+        match spec.mix_parts() {
+            None => self.rebuild_homogeneous(spec, num_tasks, n, stream),
+            Some(_) => self.rebuild_mixed(spec, seed, num_tasks, members, stream),
+        }
+    }
+
+    fn rebuild_homogeneous(
+        &mut self,
+        spec: &ControllerSpec,
+        num_tasks: usize,
+        n: usize,
+        stream: &impl Fn(u32) -> AntRng,
+    ) {
         self.mix = None;
         self.banks.truncate(1);
-        match self.banks.first_mut() {
-            Some(bank) => {
-                if bank.spec != *spec {
-                    bank.spec = spec.clone();
-                }
-                bank.ants.clear();
-                bank.ants.extend(0..n as u32);
-                spec.rebuild_bank(num_tasks, &bank.ants, &mut bank.controllers);
-                bank.rngs.clear();
-                bank.rngs.extend((0..n).map(|i| seeder.ant(i)));
-            }
-            None => {
-                let ids: Vec<u32> = (0..n as u32).collect();
-                self.banks
-                    .push(Bank::new(spec.clone(), num_tasks, ids, &seeder));
-            }
+        if self.banks.is_empty() {
+            self.banks.push(Bank::empty(spec, num_tasks));
         }
+        let bank = &mut self.banks[0];
+        bank.ants.clear();
+        bank.ants.extend(0..n as u32);
+        bank.rngs.clear();
+        bank.rngs.extend((0..n as u32).map(stream));
+        bank.rebuild_controllers(spec, num_tasks);
         self.index.clear();
         self.index.extend((0..n as u32).map(|s| (0, s)));
         debug_assert!(self.check_invariants());
     }
 
-    fn rebuild_with_members(
+    fn rebuild_mixed(
         &mut self,
         spec: &ControllerSpec,
         seed: u64,
         num_tasks: usize,
-        members: &[u16],
+        members: impl IntoIterator<Item = u16, IntoIter: Clone>,
+        stream: &impl Fn(u32) -> AntRng,
     ) {
         let Some(parts) = spec.mix_parts() else {
             // audit:allow(panic-path): both callers route homogeneous specs to rebuild_homogeneous.
-            unreachable!("rebuild_with_members requires a mix spec");
+            unreachable!("rebuild_mixed requires a mix spec");
         };
         if self.banks.len() != parts.len() {
             // Bank structure changed wholesale; nothing worth salvaging.
-            *self = Self::from_members(spec, seed, num_tasks, members);
-            return;
+            self.banks = parts
+                .iter()
+                .map(|(_, sub)| Bank::empty(sub, num_tasks))
+                .collect();
         }
-        let n = members.len();
-        let seeder = StreamSeeder::new(seed);
-        for bank in &mut self.banks {
+        let members = members.into_iter();
+        let mut sizes = vec![0usize; parts.len()];
+        for b in members.clone() {
+            let b = usize::from(b);
+            assert!(b < parts.len(), "membership references unknown sub-spec");
+            sizes[b] += 1;
+        }
+        for (bank, &size) in self.banks.iter_mut().zip(&sizes) {
             bank.ants.clear();
+            bank.ants.reserve(size);
+            bank.rngs.clear();
+            bank.rngs.reserve(size);
         }
         self.index.clear();
-        self.index.resize(n, (0, 0));
-        for (i, &b) in members.iter().enumerate() {
-            let b = b as usize;
-            assert!(b < parts.len(), "membership references unknown sub-spec");
-            self.index[i] = (b as u32, self.banks[b].ants.len() as u32);
-            self.banks[b].ants.push(i as u32);
+        self.index.reserve(sizes.iter().sum());
+        // One pass in global ant order: every bank's ids and streams
+        // fill front to back, and a captured RNG section reads
+        // sequentially.
+        for (i, b) in members.enumerate() {
+            let b = usize::from(b);
+            let bank = &mut self.banks[b];
+            self.index.push((b as u32, bank.ants.len() as u32));
+            bank.ants.push(i as u32);
+            bank.rngs.push(stream(i as u32));
         }
         for (bank, (_, sub)) in self.banks.iter_mut().zip(parts) {
-            if bank.spec != *sub {
-                bank.spec = sub.clone();
-            }
-            sub.rebuild_bank(num_tasks, &bank.ants, &mut bank.controllers);
-            bank.rngs.clear();
-            bank.rngs
-                .extend(bank.ants.iter().map(|&i| seeder.ant(i as usize)));
+            bank.rebuild_controllers(sub, num_tasks);
         }
         let weights = parts.iter().map(|(w, _)| *w).collect();
         self.mix = Some(MixMembership::new(seed, weights));
@@ -343,15 +304,18 @@ impl Population {
         &self.banks
     }
 
-    /// The bank index of every ant, in global ant order — the
-    /// checkpointed representation of mixed membership.
-    pub fn members(&self) -> Vec<u16> {
-        self.index.iter().map(|&(b, _)| b as u16).collect()
+    /// Every ant's bank index, bank and slot, in global ant order
+    /// (checkpoint capture: membership, RNG states and scratch).
+    pub fn slots(&self) -> impl Iterator<Item = (u16, &Bank, usize)> + '_ {
+        self.index
+            .iter()
+            .map(|&(b, s)| (b as u16, &self.banks[b as usize], s as usize))
     }
 
-    /// Whether this population carries mixed membership.
-    pub fn is_mixed(&self) -> bool {
-        self.mix.is_some()
+    /// Ant `i`'s controller bank and slot (checkpoint restore).
+    pub fn slot_mut(&mut self, i: usize) -> (&mut ControllerBank, usize) {
+        let (b, s) = self.index[i];
+        (&mut self.banks[b as usize].controllers, s as usize)
     }
 
     /// Steps the single ant `i` (the sequential model's round).
@@ -419,47 +383,6 @@ impl Population {
         self.index.push((b as u32, bank.ants.len() as u32));
         bank.ants.push(id);
         debug_assert!(self.check_invariants());
-    }
-
-    /// Every ant's mid-phase controller scratch, in global ant order —
-    /// only ants of kinds that carry scratch (Precise Sigmoid counters)
-    /// produce entries. This is what lets checkpoints capture *between*
-    /// those kinds' phase boundaries.
-    pub fn scratches(&self) -> Vec<(u32, ControllerScratch)> {
-        let mut out = Vec::new();
-        for (i, &(b, s)) in self.index.iter().enumerate() {
-            if let Some(scratch) = self.banks[b as usize].controllers.scratch(s as usize) {
-                out.push((i as u32, scratch));
-            }
-        }
-        out
-    }
-
-    /// Overwrites ant `i`'s mid-phase controller scratch (checkpoint
-    /// restore; apply after [`Population::reset_to_colony`]).
-    pub fn apply_scratch(&mut self, i: usize, scratch: &ControllerScratch) {
-        let (b, s) = self.index[i];
-        self.banks[b as usize]
-            .controllers
-            .apply_scratch(s as usize, scratch);
-    }
-
-    /// Every ant's RNG state, in global ant order (checkpoint capture).
-    pub fn rng_states(&self) -> Vec<[u64; 4]> {
-        self.index
-            .iter()
-            .map(|&(b, s)| self.banks[b as usize].rngs[s as usize].state())
-            .collect()
-    }
-
-    /// Overwrites every ant's RNG state, in global ant order
-    /// (checkpoint restore).
-    pub fn set_rng_states(&mut self, states: &[[u64; 4]]) {
-        assert_eq!(states.len(), self.index.len());
-        for (i, &st) in states.iter().enumerate() {
-            let (b, s) = self.index[i];
-            self.banks[b as usize].rngs[s as usize] = AntRng::from_state(st);
-        }
     }
 
     /// Clones every controller into the per-ant dispatch enum, in
@@ -587,12 +510,17 @@ mod tests {
     }
 
     #[test]
-    fn members_roundtrip_through_from_members() {
+    fn members_roundtrip_through_restore_in() {
         let spec = mix_spec();
         let p = Population::build(&spec, 11, 2, 30);
-        let members = p.members();
-        let q = Population::from_members(&spec, 11, 2, &members);
-        assert_eq!(q.members(), members);
+        let members: Vec<u16> = p.slots().map(|(b, _, _)| b).collect();
+        let states: Vec<[u64; 4]> = p.slots().map(|(_, b, s)| b.rngs[s].state()).collect();
+        let mut q = Population::build(&ControllerSpec::Trivial, 0, 2, 5);
+        let captured = |i: u32| AntRng::from_state(states[i as usize]);
+        q.restore_in(&spec, 11, 2, 30, members.iter().copied(), &captured);
         assert!(q.check_invariants());
+        assert_eq!(q.slots().map(|(b, _, _)| b).collect::<Vec<_>>(), members);
+        let restored: Vec<[u64; 4]> = q.slots().map(|(_, b, s)| b.rngs[s].state()).collect();
+        assert_eq!(restored, states);
     }
 }

@@ -245,6 +245,7 @@ fn out_of_range_task_indices_are_corrupt_on_every_version() {
         "checkpoint_v5_sigmoid.ckpt",
         "checkpoint_v6_adversarial.ckpt",
         "checkpoint_v7_arena.ckpt",
+        "checkpoint_v8_arena_mix.ckpt",
     ] {
         let bytes = std::fs::read(dir.join(name)).expect("fixture readable");
         // The smallest out-of-range index: k itself.

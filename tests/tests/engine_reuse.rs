@@ -6,8 +6,11 @@
 //! fast path leans on when it recycles one engine across a million
 //! runs.
 
-use antalloc_core::{AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams};
-use antalloc_env::{Condition, Event, GenShock, Timeline, TimelineGen, Trigger};
+use antalloc_core::{
+    AntParams, ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams,
+    ProportionalParams,
+};
+use antalloc_env::{ArenaConfig, Condition, Event, GenShock, Timeline, TimelineGen, Trigger};
 use antalloc_noise::NoiseModel;
 use antalloc_sim::{
     Checkpoint, ControllerSpec, FnObserver, NullObserver, RoundRecord, SimConfig, Sweep, SyncEngine,
@@ -15,7 +18,9 @@ use antalloc_sim::{
 use proptest::prelude::*;
 
 /// Every banked controller kind, plus 2- and 4-way mixes — the full
-/// set of bank layouts `reset_from` has to rebuild in place.
+/// set of bank layouts `reset_from` has to rebuild in place — and (9)
+/// a mix of every kind with mid-phase scratch, which [`cfg_for`] puts
+/// in an arena.
 fn spec_for(which: usize) -> ControllerSpec {
     match which {
         0 => ControllerSpec::Ant(AntParams::new(1.0 / 16.0)),
@@ -32,7 +37,7 @@ fn spec_for(which: usize) -> ControllerSpec {
             (2.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
             (1.0, ControllerSpec::Trivial),
         ]),
-        _ => ControllerSpec::Mix(vec![
+        8 => ControllerSpec::Mix(vec![
             (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
             (
                 1.0,
@@ -44,6 +49,30 @@ fn spec_for(which: usize) -> ControllerSpec {
                 ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
             ),
         ]),
+        _ => ControllerSpec::Mix(vec![
+            (1.0, ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0))),
+            (
+                1.0,
+                ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
+            ),
+            (
+                1.0,
+                ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
+            ),
+            (
+                1.0,
+                ControllerSpec::Proportional(ProportionalParams::default()),
+            ),
+        ]),
+    }
+}
+
+/// `k` tasks at one site each, two rounds apart.
+fn arena(k: usize) -> ArenaConfig {
+    ArenaConfig {
+        site_of_task: (0..k as u32).collect(),
+        travel_rounds: 2,
+        wander_probability: 0.1,
     }
 }
 
@@ -51,12 +80,16 @@ fn cfg_for(which: usize, n: usize, k: usize, seed: u64) -> SimConfig {
     // Hysteresis machines observe a single task.
     let k = if which == 6 { 1 } else { k };
     let demands: Vec<u64> = (0..k).map(|j| (n / (2 * k) + j + 1) as u64).collect();
-    SimConfig::builder(n, demands)
+    let builder = SimConfig::builder(n, demands)
         .noise(NoiseModel::Sigmoid { lambda: 1.5 })
         .controller(spec_for(which))
-        .seed(seed)
-        .build()
-        .expect("valid scenario")
+        .seed(seed);
+    let builder = if which == 9 {
+        builder.arena(arena(k))
+    } else {
+        builder
+    };
+    builder.build().expect("valid scenario")
 }
 
 /// Per-round trace plus final state; equality here is the strongest
@@ -153,25 +186,27 @@ proptest! {
 
     /// Checkpoint-restore into a *reused* engine: `restore_into` on a
     /// dirty engine must land in exactly the state `restore` builds
-    /// from scratch, and both must continue bit-identically.
+    /// from scratch, and both must continue bit-identically. Every kind
+    /// whose capture phase is <= 2 is covered (Hysteresis is
+    /// single-task, incompatible with this 3-task demand step), Precise
+    /// Sigmoid and Precise Adversarial mid-phase, and the arena mix
+    /// (9) with every scratch kind. The dirty engine last ran another
+    /// kind at another `n`, with the arena setting flipped.
     #[test]
     fn restore_into_reused_engine_matches_restore(
-        pick in 0usize..6,
+        pick in 0usize..9,
         seed: u64,
         boundary in 1u64..20,
         tail in 1u64..30,
     ) {
-        // Specs whose capture phase is <= 2, so every even round is a
-        // capture point (Adversarial's 320-round phase and AntDesync's
-        // approximate restores are out of scope; Hysteresis is
-        // single-task, incompatible with this 3-task demand step).
-        let which = [0, 2, 4, 5, 7, 8][pick];
+        let which = [0, 1, 2, 3, 4, 5, 7, 8, 9][pick];
         let mut cfg = cfg_for(which, 120, 3, seed);
         cfg.timeline = Timeline::new()
             .at(5, Event::Kill { count: 30 })
             .at(13, Event::SetDemands(vec![40, 20, 15]))
             .at(29, Event::Spawn { count: 20 });
-        // Capture on an even round: every spec here has phase <= 2.
+        // Capture on an even round: every spec here has capture phase
+        // <= 2.
         let split = boundary * 2;
 
         let mut head = cfg.build();
@@ -179,8 +214,13 @@ proptest! {
         let cp = Checkpoint::capture(&head).expect("phase boundary");
 
         let mut fresh = cp.restore();
-        let mut reused = dirty_engine(which);
+        let mut decoy = cfg_for((which + 3) % 9, 173, 2, 0xDEC0);
+        decoy.arena = cfg.arena.is_none().then(|| arena(decoy.demands.len()));
+        let mut reused = decoy.build();
+        reused.run(17, &mut NullObserver);
         cp.restore_into(&mut reused);
+        // Every captured column — RNG states, scratch, arena — landed.
+        prop_assert_eq!(&Checkpoint::capture(&reused).unwrap(), &cp);
         prop_assert_eq!(trace(&mut fresh, tail), trace(&mut reused, tail));
     }
 }

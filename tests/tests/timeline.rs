@@ -1,8 +1,8 @@
 //! The timeline subsystem end to end: a pure-TOML shock script runs
 //! under the batch runner bit-identically to serial runs, survives
 //! checkpoint-restore mid-timeline, fires identically under both
-//! engines, and older checkpoints (v2 pre-timeline through v7, the
-//! last binary config encoding) still load.
+//! engines, and checkpoints of every readable format (v2 pre-timeline
+//! through v8, the current one) still load.
 //!
 //! The second half pins the PR-4 adversarial layer: a pure-TOML
 //! scenario with a regret-*triggered* scramble and a *generated*
@@ -689,6 +689,136 @@ fn v7_checkpoints_still_load_and_continue_exactly() {
     let resaved = cp.to_bytes();
     assert_eq!(u32::from_le_bytes(resaved[4..8].try_into().unwrap()), 8);
     assert_eq!(Checkpoint::from_bytes(&resaved).unwrap(), cp);
+}
+
+/// The scenario of `checkpoint_v8_arena_mix.ckpt`: every multi-task
+/// kind mixed on a 4-site arena, with scripted events and a trigger.
+fn v8_fixture_config() -> SimConfig {
+    use antalloc_core::{
+        ExactGreedyParams, PreciseAdversarialParams, PreciseSigmoidParams, ProportionalParams,
+    };
+    let kinds = [
+        ControllerSpec::Ant(AntParams::new(1.0 / 16.0)),
+        ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)),
+        ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.03, 0.5)),
+        ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
+        ControllerSpec::Trivial,
+        ControllerSpec::ExactGreedy(ExactGreedyParams::default()),
+        ControllerSpec::Proportional(ProportionalParams {
+            gain: 0.25,
+            deadband: 2,
+        }),
+    ];
+    SimConfig::builder(700, vec![60, 80, 70, 90])
+        .noise(NoiseModel::Sigmoid { lambda: 2.0 })
+        .controller(ControllerSpec::Mix(
+            kinds.into_iter().map(|spec| (1.0, spec)).collect(),
+        ))
+        .seed(0xF8C)
+        .arena(antalloc_env::ArenaConfig {
+            site_of_task: vec![0, 1, 2, 3],
+            travel_rounds: 2,
+            wander_probability: 0.05,
+        })
+        .event(
+            20,
+            Event::SetTaskDemand {
+                task: 0,
+                demand: 110,
+            },
+        )
+        .event(30, Event::Kill { count: 21 })
+        .event(45, Event::Spawn { count: 28 })
+        .trigger(Trigger {
+            when: Condition::DeficitAbove {
+                task: 1,
+                threshold: 10,
+                for_rounds: 2,
+            },
+            event: Event::SetTaskDemand {
+                task: 2,
+                demand: 50,
+            },
+            cooldown: 15,
+            max_firings: 0,
+        })
+        .build()
+        .unwrap()
+}
+
+/// SHA-256 over every round's `(round, regret, switches, idle, loads)`,
+/// then the final assignments and trigger states (the golden-trace
+/// digest of `tests/golden_traces.rs`).
+fn trace_digest(engine: &mut antalloc_sim::SyncEngine, rounds: u64) -> String {
+    use antalloc_store::Sha256;
+    let mut hasher = Sha256::new();
+    {
+        let mut obs = FnObserver::new(|r: &RoundRecord<'_>| {
+            hasher.update(&r.round.to_le_bytes());
+            hasher.update(&r.instant_regret().to_le_bytes());
+            hasher.update(&r.switches.to_le_bytes());
+            hasher.update(&r.idle.to_le_bytes());
+            for &w in r.loads {
+                hasher.update(&w.to_le_bytes());
+            }
+        });
+        engine.run(rounds, &mut obs);
+    }
+    for a in engine.colony().assignments() {
+        hasher.update(&a.to_raw().to_le_bytes());
+    }
+    for s in engine.trigger_states() {
+        for &streak in &s.streaks {
+            hasher.update(&streak.to_le_bytes());
+        }
+        for &prev in &s.prev_deficits {
+            hasher.update(&prev.to_le_bytes());
+        }
+        hasher.update(&s.firings.to_le_bytes());
+        hasher.update(&s.last_fired.to_le_bytes());
+        hasher.update(&[u8::from(s.pending)]);
+    }
+    hasher
+        .finalize()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
+#[test]
+fn v8_checkpoints_still_load_and_replay_their_pinned_trace() {
+    // Fixture written by the v8 writer as it stood before the per-ant
+    // tail went flat, so it pins the unchanged wire format. Captured at
+    // round 60 — after a demand step, a kill, a spawn and a trigger
+    // firing — with Precise Sigmoid ants mid-phase (second half of 82
+    // rounds), Precise Adversarial ants mid-ramp (round 60 of 320) and
+    // non-zero Proportional streaks: the scratch section carries all
+    // three tags, and the arena columns close the stream.
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let bytes =
+        std::fs::read(dir.join("checkpoint_v8_arena_mix.ckpt")).expect("v8 fixture readable");
+    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 8);
+    let cp = Checkpoint::from_bytes(&bytes).expect("v8 fixture loads");
+    assert_eq!(cp.round(), 60);
+    assert_eq!(cp.config(), &v8_fixture_config());
+    // Decode then encode is the identity on the current format.
+    assert!(cp.to_bytes() == bytes, "re-encoded fixture differs");
+    // AntDesync restores are approximate by design, so the continuation
+    // is pinned to the trace the original v8 code produced from this
+    // fixture, not to an uninterrupted run.
+    let mut resumed = cp.restore();
+    assert_eq!(
+        trace_digest(&mut resumed, 100),
+        "838cb68f119e2bb2789c087a5ce5c8966d21e2ea91ba2125d411cd564640bb95"
+    );
+    // Restoring into a reused engine lands in the same state.
+    let mut reused = shock_config().build();
+    reused.run(7, &mut NullObserver);
+    cp.restore_into(&mut reused);
+    assert_eq!(
+        trace_digest(&mut reused, 100),
+        "838cb68f119e2bb2789c087a5ce5c8966d21e2ea91ba2125d411cd564640bb95"
+    );
 }
 
 #[test]
