@@ -17,14 +17,17 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use antalloc_bench::perf_quick as quick;
 use antalloc_core::{
-    AntParams, AnyController, Controller, PreciseSigmoidParams, ProportionalParams,
+    step_slice_fused, AlgorithmAnt, AntParams, AnyController, Controller, ExactGreedy, FsmSpec,
+    PreciseAdversarial, PreciseAdversarialParams, PreciseSigmoid, PreciseSigmoidParams,
+    ProportionalController, ProportionalParams, TableFsm, Trivial,
 };
-use antalloc_env::{ArenaConfig, ColonyState};
-use antalloc_noise::{FeedbackProbe, NoiseModel};
+use antalloc_env::{ArenaConfig, ColonyState, ColumnWriter, RoundDelta, TaskColumn};
+use antalloc_noise::{FeedbackProbe, NoiseModel, SensedRound};
 use antalloc_rng::{AntRng, StreamSeeder};
 use antalloc_sim::{ControllerSpec, NullObserver, SimConfig};
 
@@ -207,6 +210,15 @@ struct KindResult {
 /// and the README state it.
 const PARALLEL_CROSSOVER_N: usize = 100_000;
 
+/// The kinds whose parallel scaling curve [`banks_vs_seed`] guards.
+const SCALING_GUARDED: [&str; 5] = [
+    "ant",
+    "precise_sigmoid",
+    "trivial",
+    "exact_greedy",
+    "proportional",
+];
+
 /// Thread counts for the per-kind parallel scaling curve, before
 /// [`scaling_threads`] clamps them to the host.
 const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -219,68 +231,86 @@ fn scaling_threads() -> Vec<usize> {
     SCALING_THREADS.into_iter().filter(|&t| t <= hw).collect()
 }
 
-/// Like-for-like kernel race: the SoA bank's `step_batch` against the
-/// generic monomorphic per-ant loop (`step_slice` over a `Vec` of
-/// controllers — the exact layout the SoA banks replaced), same rounds,
-/// same per-ant RNG streams, no engine around either. Asserts
-/// bit-identity and returns (generic, soa) ant-rounds/second.
-fn kernel_race<C>(n: usize, rounds: u64, samples: usize, make: impl Fn() -> C) -> (f64, f64)
-where
-    C: Controller + Clone + Into<AnyController>,
-{
-    use antalloc_rng::StreamSeeder;
-
-    let k = 3usize;
+/// Like-for-like kernel race: the column bank's fused step against the
+/// generic monomorphic per-ant loop (`step_slice_fused` over a `Vec` of
+/// controllers — the layout the column banks replaced), same rounds,
+/// same per-ant RNG streams, each writing its own next-state column, no
+/// engine around either. Asserts bit-identity and returns (generic,
+/// bank) ant-rounds/second.
+fn kernel_race<C: Controller>(
+    spec: &ControllerSpec,
+    k: usize,
+    n: usize,
+    rounds: u64,
+    samples: usize,
+    make: impl Fn(u32) -> C,
+) -> (f64, f64) {
     let demands = vec![(n / 8) as u64; k];
     let noise = NoiseModel::Sigmoid { lambda: 2.0 };
     let seeder = StreamSeeder::new(5);
-    let mut generic: Vec<C> = (0..n).map(|_| make()).collect();
-    let mut soa: antalloc_core::ControllerBank = (0..n).map(|_| make().into()).collect();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let mut generic: Vec<C> = ids.iter().map(|&i| make(i)).collect();
+    let mut bank = spec.build_bank(k, &ids);
     let mut generic_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-    let mut soa_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-    let mut out_a = vec![antalloc_env::Assignment::Idle; n];
-    let mut out_b = vec![antalloc_env::Assignment::Idle; n];
+    let mut bank_rngs = generic_rngs.clone();
+    let (generic_col, bank_col) = (TaskColumn::new(n), TaskColumn::new(n));
+    let mut delta = RoundDelta::new(k);
+    let same = |what: &str| {
+        for i in 0..n as u32 {
+            assert_eq!(
+                generic_col.load(i),
+                bank_col.load(i),
+                "kernels diverged {what}"
+            );
+        }
+    };
     // Small rotating deficits keep every signal stochastic (saturated
     // sigmoids compile to draw-free fixed feedback and would flatter
     // both loops equally but measure nothing).
-    let deficits = |round: u64| {
-        let mut d = vec![0i64; k];
-        for (j, slot) in d.iter_mut().enumerate() {
-            *slot = [2i64, 0, -2][(round as usize + j) % 3];
-        }
-        d
+    let deficits = |round: u64| -> Vec<i64> {
+        (0..k)
+            .map(|j| [2i64, 0, -2][(round as usize + j) % 3])
+            .collect()
+    };
+    let mut generic_step = |round: u64, delta: &mut RoundDelta| {
+        let prep = noise.prepare(round, &deficits(round), &demands);
+        delta.reset(k);
+        let mut writer = ColumnWriter::new(&generic_col, &generic_col, delta);
+        let sensed = SensedRound::shared(&prep);
+        step_slice_fused(&mut generic, sensed, &mut generic_rngs, &ids, &mut writer);
+    };
+    let mut bank_step = |round: u64, delta: &mut RoundDelta| {
+        let prep = noise.prepare(round, &deficits(round), &demands);
+        delta.reset(k);
+        let mut writer = ColumnWriter::new(&bank_col, &bank_col, delta);
+        let sensed = SensedRound::shared(&prep);
+        bank.step_batch_fused(sensed, &mut bank_rngs, &ids, &mut writer);
     };
     let mut round = 0u64;
     for _ in 0..16 {
         round += 1;
-        let prep = noise.prepare(round, &deficits(round), &demands);
-        antalloc_core::step_slice(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
-        soa.step_batch(prep.view(), &mut soa_rngs, &mut out_b);
-        assert_eq!(out_a, out_b, "kernel outputs diverged in warmup");
+        generic_step(round, &mut delta);
+        bank_step(round, &mut delta);
     }
+    same("in warmup");
     let mut generic_best = 0.0f64;
-    let mut soa_best = 0.0f64;
+    let mut bank_best = 0.0f64;
     for _ in 0..samples {
         let start = round;
         let t0 = Instant::now();
-        for _ in 0..rounds {
-            round += 1;
-            let prep = noise.prepare(round, &deficits(round), &demands);
-            antalloc_core::step_slice(&mut generic, prep.view(), &mut generic_rngs, &mut out_a);
+        for r in start + 1..=start + rounds {
+            generic_step(r, &mut delta);
         }
         generic_best = generic_best.max(n as f64 * rounds as f64 / t0.elapsed().as_secs_f64());
-        round = start;
         let t0 = Instant::now();
-        for _ in 0..rounds {
-            round += 1;
-            let prep = noise.prepare(round, &deficits(round), &demands);
-            soa.step_batch(prep.view(), &mut soa_rngs, &mut out_b);
+        for r in start + 1..=start + rounds {
+            bank_step(r, &mut delta);
         }
-        soa_best = soa_best.max(n as f64 * rounds as f64 / t0.elapsed().as_secs_f64());
+        bank_best = bank_best.max(n as f64 * rounds as f64 / t0.elapsed().as_secs_f64());
+        round += rounds;
     }
-    assert_eq!(out_a, out_b, "kernel outputs diverged during measurement");
-    black_box((&generic, &soa));
-    (generic_best, soa_best)
+    same("during measurement");
+    (generic_best, bank_best)
 }
 
 /// Sensing-layer overhead: the same Ant colony well-mixed, through the
@@ -329,7 +359,7 @@ fn arena_overhead(n: usize, rounds: u64, samples: usize) -> Vec<(&'static str, f
     rows
 }
 
-/// Races every SoA-banked controller kind against a faithful replica of
+/// Races every column-banked controller kind against a faithful replica of
 /// the pre-bank (array-of-enums, per-ant-probe) loop on a million-ant
 /// homogeneous colony, asserting bit-identity along the way, and emits
 /// one per-kind entry into `BENCH_engine.json`. Under `PERF_QUICK` the
@@ -345,11 +375,19 @@ fn banks_vs_seed(_c: &mut Criterion) {
     // One spec per kind, shared by the engine comparison AND the kernel
     // race below (via the match on `spec`), so both halves of a
     // per-kind JSON entry always measure the same configuration.
-    let kinds: [(&'static str, ControllerSpec); 5] = [
+    let kinds: [(&'static str, ControllerSpec); 8] = [
         ("ant", ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+        (
+            "ant_desync",
+            ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0)),
+        ),
         (
             "precise_sigmoid",
             ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
+        ),
+        (
+            "precise_adversarial",
+            ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
         ),
         ("trivial", ControllerSpec::Trivial),
         (
@@ -360,6 +398,13 @@ fn banks_vs_seed(_c: &mut Criterion) {
             "proportional",
             ControllerSpec::Proportional(ProportionalParams::default()),
         ),
+        (
+            "hysteresis",
+            ControllerSpec::Hysteresis {
+                depth: 4,
+                lazy: Some(0.5),
+            },
+        ),
     ];
 
     println!(
@@ -369,7 +414,13 @@ fn banks_vs_seed(_c: &mut Criterion) {
 
     let mut results: Vec<KindResult> = Vec::new();
     for (kind, spec) in kinds {
-        let demands = vec![(n / 8) as u64; 3];
+        // Table machines observe a single task.
+        let k = if matches!(spec, ControllerSpec::Hysteresis { .. }) {
+            1
+        } else {
+            3
+        };
+        let demands = vec![(n / 8) as u64; k];
         let cfg = SimConfig::builder(n, demands)
             .noise(NoiseModel::Sigmoid { lambda: 2.0 })
             .controller(spec.clone())
@@ -421,40 +472,43 @@ fn banks_vs_seed(_c: &mut Criterion) {
             })
             .collect();
 
-        // Like-for-like kernel race: SoA step_batch vs the generic
-        // monomorphic per-ant loop it replaced, no engine around
-        // either — this is the number the regression guard watches
-        // (the end-to-end comparison above also carries harness
+        // Like-for-like kernel race: the bank's fused step vs the
+        // generic monomorphic per-ant fused loop it replaced, no engine
+        // around either — this is the number the regression guard
+        // watches (the end-to-end comparison above also carries harness
         // differences: the seed replica skips the engine's
         // double-buffered apply and round records). Constructors come
         // from the same `spec` the engine comparison ran.
         let (kernel_generic_tput, kernel_soa_tput) = match &spec {
             ControllerSpec::Ant(p) => {
-                let p = *p;
-                kernel_race(n, rounds, samples, move || {
-                    antalloc_core::AlgorithmAnt::new(3, p)
-                })
+                kernel_race(&spec, k, n, rounds, samples, |_| AlgorithmAnt::new(k, *p))
             }
+            ControllerSpec::AntDesync(p) => kernel_race(&spec, k, n, rounds, samples, |i| {
+                AlgorithmAnt::with_phase_offset(k, *p, u64::from(i % 2))
+            }),
             ControllerSpec::PreciseSigmoid(p) => {
-                let p = *p;
-                kernel_race(n, rounds, samples, move || {
-                    antalloc_core::PreciseSigmoid::new(3, p)
+                kernel_race(&spec, k, n, rounds, samples, |_| PreciseSigmoid::new(k, *p))
+            }
+            ControllerSpec::PreciseAdversarial(p) => {
+                kernel_race(&spec, k, n, rounds, samples, |_| {
+                    PreciseAdversarial::new(k, *p)
                 })
             }
             ControllerSpec::Trivial => {
-                kernel_race(n, rounds, samples, || antalloc_core::Trivial::new(3))
+                kernel_race(&spec, k, n, rounds, samples, |_| Trivial::new(k))
             }
             ControllerSpec::ExactGreedy(p) => {
-                let p = *p;
-                kernel_race(n, rounds, samples, move || {
-                    antalloc_core::ExactGreedy::new(3, p)
-                })
+                kernel_race(&spec, k, n, rounds, samples, |_| ExactGreedy::new(k, *p))
             }
-            ControllerSpec::Proportional(p) => {
-                let p = *p;
-                kernel_race(n, rounds, samples, move || {
-                    antalloc_core::ProportionalController::new(3, p)
-                })
+            ControllerSpec::Proportional(p) => kernel_race(&spec, k, n, rounds, samples, |_| {
+                ProportionalController::new(k, *p)
+            }),
+            ControllerSpec::Hysteresis {
+                depth,
+                lazy: Some(p),
+            } => {
+                let fsm = Arc::new(FsmSpec::lazy_hysteresis(*depth, *p));
+                kernel_race(&spec, k, n, rounds, samples, |_| TableFsm::new(fsm.clone()))
             }
             other => unreachable!("unknown kind {other:?}"),
         };
@@ -635,9 +689,13 @@ fn banks_vs_seed(_c: &mut Criterion) {
         // given real hardware parallelism (>= 2 threads), the best
         // point on the fused parallel scaling curve must not lose to
         // the serial path. On a 1-thread box the curve is the serial
-        // fallback alone, so there is nothing to enforce.
+        // fallback alone, so there is nothing to enforce. AntDesync,
+        // Precise Adversarial and Hysteresis only report their curves:
+        // on a 2-core host those land within noise of the serial path,
+        // and Precise Adversarial's serial and parallel samples time
+        // different stretches of its 320-round phase.
         let hw = antalloc_bench::available_parallelism();
-        if n >= PARALLEL_CROSSOVER_N && hw >= 2 {
+        if n >= PARALLEL_CROSSOVER_N && hw >= 2 && SCALING_GUARDED.contains(&r.kind) {
             let best = r
                 .scaling
                 .iter()

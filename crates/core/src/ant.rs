@@ -17,8 +17,8 @@
 //! parks there (Theorem 3.1).
 
 use antalloc_env::Assignment;
-use antalloc_noise::{Feedback, FeedbackProbe, RoundView};
-use antalloc_rng::{uniform_index, AntRng, Bernoulli};
+use antalloc_noise::{Feedback, FeedbackProbe};
+use antalloc_rng::{uniform_index, Bernoulli};
 
 use crate::controller::Controller;
 use crate::params::AntParams;
@@ -119,22 +119,6 @@ impl AlgorithmAnt {
         self.s1_all.len()
     }
 
-    /// Bank-loop entry point: steps a homogeneous slice of Algorithm Ant
-    /// controllers against one shared [`RoundView`].
-    ///
-    /// Bit-identical to per-ant [`Controller::step`] (the reference
-    /// semantics); phase offsets are honoured per ant, so desynchronized
-    /// banks work too. Offset-0 colonies get the structure-of-arrays
-    /// fast path instead — see [`crate::AntBank`].
-    pub fn step_bank(
-        ants: &mut [Self],
-        view: RoundView<'_>,
-        rngs: &mut [AntRng],
-        out: &mut [Assignment],
-    ) {
-        crate::controller::step_slice(ants, view, rngs, out)
-    }
-
     /// Copies the persistent per-ant state out, for transposition into
     /// the structure-of-arrays bank. Lossless together with
     /// [`AlgorithmAnt::from_bank_state`]: only `s2_all` is omitted, and
@@ -147,10 +131,11 @@ impl AlgorithmAnt {
             s1_lack: self.s1_all.iter().map(|f| f.is_lack()).collect(),
             s1_current_lack: self.s1_current.is_lack(),
             have_s1: self.have_s1,
+            phase_odd: self.phase_offset % 2 == 1,
         }
     }
 
-    /// Rebuilds a phase-offset-0 controller from transposed bank state.
+    /// Rebuilds a controller from transposed bank state.
     pub(crate) fn from_bank_state(num_tasks: usize, params: AntParams, s: AntBankState) -> Self {
         let mut ant = Self::new(num_tasks, params);
         ant.current_task = s.current_task;
@@ -168,6 +153,7 @@ impl AlgorithmAnt {
             Feedback::Overload
         };
         ant.have_s1 = s.have_s1;
+        ant.phase_offset = u64::from(s.phase_odd);
         ant
     }
 
@@ -242,12 +228,15 @@ impl AlgorithmAnt {
 
 /// Persistent per-ant state in transposable form (see
 /// [`AlgorithmAnt::bank_state`]).
+#[derive(Debug, PartialEq)]
 pub(crate) struct AntBankState {
     pub current_task: Assignment,
     pub assignment: Assignment,
     pub s1_lack: Vec<bool>,
     pub s1_current_lack: bool,
     pub have_s1: bool,
+    /// Phase offset parity (the phase is two rounds long).
+    pub phase_odd: bool,
 }
 
 impl Controller for AlgorithmAnt {

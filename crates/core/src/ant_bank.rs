@@ -1,11 +1,16 @@
-//! Structure-of-arrays bank for §4 Algorithm Ant — the hot layout.
+//! Column bank for §4 Algorithm Ant — the hot layout.
 //!
 //! A million-ant Ant colony is memory-bound: stepping a `Vec` of
 //! per-ant structs streams ~200 bytes per ant per round (struct, two
 //! heap sample buffers, RNG). This bank transposes the persistent state
-//! into flat arrays — ~13 bytes per ant plus the RNG — and hoists the
+//! into flat columns — ~14 bytes per ant plus the RNG — and hoists the
 //! phase-parity branch and the shared pause/leave samplers out of the
 //! loop.
+//!
+//! Desynchronized colonies (`AntDesync`) live here too: a per-ant
+//! phase-offset column (0 or 1) shifts each ant's two-round phase. A
+//! bank whose offsets are all 0 keeps the hoisted parity branch; once
+//! any ant runs offset 1, the parity is chosen per ant.
 //!
 //! **Reference semantics.** [`crate::AlgorithmAnt`] is the truth;
 //! [`AntBank`] must consume every ant's RNG stream in exactly the order
@@ -14,34 +19,14 @@
 //! runs. The bank property tests compare the two round for round;
 //! conversion in and out ([`AntBank::push_controller`] /
 //! [`AntBank::to_controller`]) is lossless for the persistent state.
-//!
-//! Only phase-offset-0 ants live here; desynchronized (`AntDesync`)
-//! colonies keep the per-ant layout.
 
 use antalloc_env::{Assignment, ColumnWriter};
 use antalloc_noise::{RoundView, SensedRound};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
 use crate::ant::{AlgorithmAnt, AntBankState};
+use crate::column::{column_bank, dec, drive, enc, IDLE};
 use crate::params::AntParams;
-
-/// `current`/`assignment` encoding: task index, or `IDLE`. Shared by
-/// every structure-of-arrays bank (see also [`crate::TrivialBank`],
-/// [`crate::ExactGreedyBank`], [`crate::PreciseSigmoidBank`]) — and,
-/// by construction, identical to [`Assignment::RAW_IDLE`], so bank
-/// columns write into the engine's fused [`antalloc_env::TaskColumn`]
-/// without re-encoding.
-pub(crate) const IDLE: u32 = Assignment::RAW_IDLE;
-
-#[inline(always)]
-pub(crate) fn enc(a: Assignment) -> u32 {
-    a.to_raw()
-}
-
-#[inline(always)]
-pub(crate) fn dec(x: u32) -> Assignment {
-    Assignment::from_raw(x)
-}
 
 /// The `pick`-th (0-based) set bit of `mask`, as a bit index.
 ///
@@ -58,14 +43,6 @@ pub(crate) fn nth_set_bit(mut mask: u64, pick: usize) -> u32 {
 
 /// Number of `lack` entries in a `0/1` signal row.
 #[inline(always)]
-/// Clears and refills a column with `n` copies of `value`, reusing the
-/// allocation when it suffices — the shared primitive behind every
-/// bank's `reinit` (shrink-to-reuse, grow reallocates).
-pub(crate) fn refill<T: Copy>(column: &mut Vec<T>, value: T, n: usize) {
-    column.clear();
-    column.resize(n, value);
-}
-
 pub(crate) fn count_lacking(row: &[u8]) -> usize {
     row.iter().filter(|&&l| l == 1).count()
 }
@@ -84,41 +61,53 @@ pub(crate) fn nth_lacking(row: &[u8], pick: usize) -> u32 {
         .expect("pick < count")
 }
 
-/// A homogeneous, phase-synchronized Algorithm Ant population in
-/// structure-of-arrays layout.
-#[derive(Clone, Debug)]
-pub struct AntBank {
+/// The bank constants of an Ant bank.
+#[derive(Clone, Copy, Debug)]
+struct AntConsts {
     params: AntParams,
     pause: Bernoulli,
     leave: Bernoulli,
-    num_tasks: usize,
-    /// `currentTask` per ant (`IDLE` when idle).
-    current: Vec<u32>,
-    /// Output assignment `a_t` per ant.
-    assignment: Vec<u32>,
-    /// Working-path first sample of the current task: 1 = lack.
-    s1_current: Vec<u8>,
-    /// First-sample-valid flag per ant.
-    have_s1: Vec<u8>,
-    /// Idle-path first samples, ant-major `num_tasks` bytes per ant.
-    s1_all: Vec<u8>,
+    /// Whether any ant may run phase offset 1 (per-ant parity).
+    desync: bool,
 }
 
-impl AntBank {
-    /// An all-idle bank of `n` fresh ants.
-    pub fn new(num_tasks: usize, params: AntParams, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
+impl AntConsts {
+    fn new(params: AntParams) -> Self {
         Self {
             params,
             pause: Bernoulli::new(params.pause_probability()),
             leave: Bernoulli::new(params.leave_probability()),
-            num_tasks,
-            current: vec![IDLE; n],
-            assignment: vec![IDLE; n],
-            s1_current: vec![0; n],
-            have_s1: vec![0; n],
-            s1_all: vec![0; n * num_tasks],
+            desync: false,
         }
+    }
+}
+
+column_bank! {
+    /// A homogeneous Algorithm Ant population in column layout.
+    pub struct AntBank,
+    /// A disjoint mutable chunk of an [`AntBank`].
+    AntSliceMut {
+        consts: AntConsts,
+        fresh(c),
+        /// Output assignment `a_t` per ant.
+        assignment: u32 [1] = IDLE,
+        /// `currentTask` per ant (`IDLE` when idle).
+        current: u32 [1] = IDLE,
+        /// Working-path first sample of the current task: 1 = lack.
+        s1_current: u8 [1] = 0,
+        /// First-sample-valid flag per ant.
+        have_s1: u8 [1] = 0,
+        /// Idle-path first samples, `k` bytes per ant.
+        s1_all: u8 [k] = 0,
+        /// Phase offset per ant (0 or 1; spawns run offset 0).
+        phase: u8 [1] = 0,
+    }
+}
+
+impl AntBank {
+    /// An all-idle bank of `n` fresh, phase-synchronized ants.
+    pub fn new(num_tasks: usize, params: AntParams, n: usize) -> Self {
+        Self::with_consts(AntConsts::new(params), num_tasks, n)
     }
 
     /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
@@ -126,51 +115,37 @@ impl AntBank {
     /// reallocates). State after the call is bit-identical to
     /// `AntBank::new(num_tasks, params, n)`.
     pub fn reinit(&mut self, num_tasks: usize, params: AntParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.params = params;
-        self.pause = Bernoulli::new(params.pause_probability());
-        self.leave = Bernoulli::new(params.leave_probability());
-        self.num_tasks = num_tasks;
-        refill(&mut self.current, IDLE, n);
-        refill(&mut self.assignment, IDLE, n);
-        refill(&mut self.s1_current, 0, n);
-        refill(&mut self.have_s1, 0, n);
-        refill(&mut self.s1_all, 0, n * num_tasks);
+        self.consts = AntConsts::new(params);
+        self.reset_columns(num_tasks, n);
     }
 
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
+    /// Desynchronizes the bank: the ant in slot `s` runs phase offset
+    /// `ids[s] % 2` (the `AntDesync` layout, staggered by global ant
+    /// id).
+    pub fn stagger(&mut self, ids: &[u32]) {
+        assert_eq!(ids.len(), self.len(), "one id per ant");
+        for (p, &id) in self.phase.iter_mut().zip(ids) {
+            *p = u8::from(id % 2 == 1);
+        }
+        self.consts.desync = true;
     }
 
     /// The parameters every ant in the bank runs.
     pub fn params(&self) -> &AntParams {
-        &self.params
+        &self.consts.params
     }
 
     /// Appends a per-ant controller, transposing its state in.
-    ///
-    /// # Panics
-    /// If the controller is desynchronized (non-zero phase offset) —
-    /// those keep the per-ant layout.
     pub fn push_controller(&mut self, ant: &AlgorithmAnt) {
-        assert_eq!(
-            ant.phase_offset(),
-            0,
-            "desynchronized ants do not fit a synchronized bank"
-        );
         let s = ant.bank_state();
-        self.current.push(enc(s.current_task));
         self.assignment.push(enc(s.assignment));
+        self.current.push(enc(s.current_task));
         self.s1_current.push(u8::from(s.s1_current_lack));
         self.have_s1.push(u8::from(s.have_s1));
         debug_assert_eq!(s.s1_lack.len(), self.num_tasks);
         self.s1_all.extend(s.s1_lack.iter().map(|&l| u8::from(l)));
+        self.phase.push(u8::from(s.phase_odd));
+        self.consts.desync |= s.phase_odd;
     }
 
     /// Reconstructs the per-ant controller at `slot` (reference
@@ -179,7 +154,7 @@ impl AntBank {
         let k = self.num_tasks;
         AlgorithmAnt::from_bank_state(
             k,
-            self.params,
+            self.consts.params,
             AntBankState {
                 current_task: dec(self.current[slot]),
                 assignment: dec(self.assignment[slot]),
@@ -189,13 +164,9 @@ impl AntBank {
                     .collect(),
                 s1_current_lack: self.s1_current[slot] == 1,
                 have_s1: self.have_s1[slot] == 1,
+                phase_odd: self.phase[slot] == 1,
             },
         )
-    }
-
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
     }
 
     /// Forces the ant at `slot` into `a` (see
@@ -214,144 +185,24 @@ impl AntBank {
         crate::memory::bits_for_states(self.num_tasks + 1) + k + 1
     }
 
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        let k = self.num_tasks;
-        let last = self.len() - 1;
-        self.current.swap_remove(slot);
-        self.assignment.swap_remove(slot);
-        self.s1_current.swap_remove(slot);
-        self.have_s1.swap_remove(slot);
-        if slot != last {
-            let (head, tail) = self.s1_all.split_at_mut(last * k);
-            head[slot * k..slot * k + k].copy_from_slice(&tail[..k]);
-        }
-        self.s1_all.truncate(last * k);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> AntSliceMut<'_> {
-        AntSliceMut {
-            pause: self.pause,
-            leave: self.leave,
-            num_tasks: self.num_tasks,
-            current: &mut self.current,
-            assignment: &mut self.assignment,
-            s1_current: &mut self.s1_current,
-            have_s1: &mut self.have_s1,
-            s1_all: &mut self.s1_all,
-        }
-    }
-
     /// Steps the single ant at `slot` (the sequential model's path) —
     /// the same kernel as the bank loop, on a one-ant chunk.
     pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        let k = self.num_tasks;
-        let mut slice = AntSliceMut {
-            pause: self.pause,
-            leave: self.leave,
-            num_tasks: k,
-            current: &mut self.current[slot..slot + 1],
-            assignment: &mut self.assignment[slot..slot + 1],
-            s1_current: &mut self.s1_current[slot..slot + 1],
-            have_s1: &mut self.have_s1[slot..slot + 1],
-            s1_all: &mut self.s1_all[slot * k..slot * k + k],
-        };
-        if view.round() % 2 == 1 {
-            slice.first_sample_round(0, view, rng)
+        let mut one = self.slot_mut(slot);
+        if (view.round() + u64::from(one.phase[0])) % 2 == 1 {
+            one.first_sample_round(0, view, rng);
         } else {
-            slice.second_sample_round(0, view, rng)
+            one.second_sample_round(0, view, rng);
         }
+        self.assignment(slot)
     }
 }
 
-/// A disjoint mutable chunk of an [`AntBank`].
-#[derive(Debug)]
-pub struct AntSliceMut<'a> {
-    pause: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    current: &'a mut [u32],
-    assignment: &'a mut [u32],
-    s1_current: &'a mut [u8],
-    have_s1: &'a mut [u8],
-    s1_all: &'a mut [u8],
-}
-
-impl<'a> AntSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (AntSliceMut<'a>, AntSliceMut<'a>) {
-        let k = self.num_tasks;
-        let (c1, c2) = self.current.split_at_mut(mid);
-        let (a1, a2) = self.assignment.split_at_mut(mid);
-        let (s1, s2) = self.s1_current.split_at_mut(mid);
-        let (h1, h2) = self.have_s1.split_at_mut(mid);
-        let (r1, r2) = self.s1_all.split_at_mut(mid * k);
-        (
-            AntSliceMut {
-                pause: self.pause,
-                leave: self.leave,
-                num_tasks: k,
-                current: c1,
-                assignment: a1,
-                s1_current: s1,
-                have_s1: h1,
-                s1_all: r1,
-            },
-            AntSliceMut {
-                pause: self.pause,
-                leave: self.leave,
-                num_tasks: k,
-                current: c2,
-                assignment: a2,
-                s1_current: s2,
-                have_s1: h2,
-                s1_all: r2,
-            },
-        )
-    }
-
-    /// Steps every ant in the chunk. Bit-identical to per-ant
-    /// [`crate::Controller::step`] on [`AlgorithmAnt`]: same samples,
-    /// same coins, same short-circuits, per ant in slot order.
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
-        if view.round() % 2 == 1 {
-            for i in 0..n {
-                out[i] = self.first_sample_round(i, view, &mut rngs[i]);
-            }
-        } else {
-            for i in 0..n {
-                out[i] = self.second_sample_round(i, view, &mut rngs[i]);
-            }
-        }
-    }
-
-    /// Fused-apply variant of [`AntSliceMut::step_batch`]: steps every
-    /// ant (same draws, same order) and routes each transition through
-    /// `writer` — storing the next assignment into the shared column at
-    /// the ant's colony id (`ids[i]`) and folding the switch/load/idle
-    /// change into the writer's local delta. The previous assignment is
-    /// read from the bank's own column (banks mirror the colony), so
-    /// the kernel never touches `ColonyState`.
-    ///
-    /// Takes the round as a [`SensedRound`]: when every ant senses the
-    /// shared table (well-mixed) this dispatches to the same loops as
-    /// before; otherwise each ant steps against its own sensed view
-    /// (`sensed.view_for(ids[i])`), with the per-ant draw order
-    /// unchanged either way.
+impl AntSliceMut<'_> {
+    /// Steps every ant, routing each transition through `writer` at the
+    /// ant's colony id (`ids[i]`); see [`crate::BankSliceMut::step_batch_fused`].
+    /// A synchronized bank picks the phase half once per round; a
+    /// desynchronized one per ant.
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
@@ -359,55 +210,37 @@ impl<'a> AntSliceMut<'a> {
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, ids.len(), "one colony id per ant");
         let first = sensed.round() % 2 == 1;
-        match sensed.shared_view() {
-            Some(view) => {
-                if first {
-                    for i in 0..n {
-                        self.first_sample_round(i, view, &mut rngs[i]);
-                        writer.write(ids[i], self.assignment[i]);
-                    }
+        if self.consts.desync {
+            drive!(self, sensed, rngs, ids, writer, |s, i, view, rng| {
+                if first != (s.phase[i] == 1) {
+                    s.first_sample_round(i, view, rng);
                 } else {
-                    for i in 0..n {
-                        self.second_sample_round(i, view, &mut rngs[i]);
-                        writer.write(ids[i], self.assignment[i]);
-                    }
+                    s.second_sample_round(i, view, rng);
                 }
-            }
-            None => {
-                if first {
-                    for i in 0..n {
-                        self.first_sample_round(i, sensed.view_for(ids[i]), &mut rngs[i]);
-                        writer.write(ids[i], self.assignment[i]);
-                    }
-                } else {
-                    for i in 0..n {
-                        self.second_sample_round(i, sensed.view_for(ids[i]), &mut rngs[i]);
-                        writer.write(ids[i], self.assignment[i]);
-                    }
-                }
-            }
+            });
+        } else if first {
+            drive!(self, sensed, rngs, ids, writer, |s, i, view, rng| {
+                s.first_sample_round(i, view, rng)
+            });
+        } else {
+            drive!(self, sensed, rngs, ids, writer, |s, i, view, rng| {
+                s.second_sample_round(i, view, rng)
+            });
         }
     }
 
-    /// Odd rounds: adopt `a_{t−1}`, take the first sample, maybe pause.
+    /// The phase's first round: adopt `a_{t−1}`, take the first sample,
+    /// maybe pause.
     #[inline(always)]
-    fn first_sample_round(
-        &mut self,
-        i: usize,
-        view: RoundView<'_>,
-        rng: &mut AntRng,
-    ) -> Assignment {
+    fn first_sample_round(&mut self, i: usize, view: RoundView<'_>, rng: &mut AntRng) {
         let k = self.num_tasks;
         let cur = self.assignment[i];
         self.current[i] = cur;
         if cur != IDLE {
             self.s1_current[i] = u8::from(view.sample(crate::cast::task_ix(cur), rng).is_lack());
             self.have_s1[i] = 1;
-            if self.pause.sample(rng) {
+            if self.consts.pause.sample(rng) {
                 self.assignment[i] = IDLE;
             }
         } else {
@@ -415,23 +248,18 @@ impl<'a> AntSliceMut<'a> {
             view.fill_lack(rng, &mut self.s1_all[i * k..i * k + k]);
             self.have_s1[i] = 1;
         }
-        dec(self.assignment[i])
     }
 
-    /// Even rounds: second sample, then the leave/join decision.
+    /// The phase's second round: second sample, then the leave/join
+    /// decision.
     #[inline(always)]
-    fn second_sample_round(
-        &mut self,
-        i: usize,
-        view: RoundView<'_>,
-        rng: &mut AntRng,
-    ) -> Assignment {
+    fn second_sample_round(&mut self, i: usize, view: RoundView<'_>, rng: &mut AntRng) {
         let k = self.num_tasks;
         let cur = self.current[i];
         if cur != IDLE {
             let s2_lack = view.sample(crate::cast::task_ix(cur), rng).is_lack();
             let both_overload = self.have_s1[i] == 1 && self.s1_current[i] == 0 && !s2_lack;
-            self.assignment[i] = if both_overload && self.leave.sample(rng) {
+            self.assignment[i] = if both_overload && self.consts.leave.sample(rng) {
                 IDLE
             } else {
                 cur
@@ -479,52 +307,44 @@ impl<'a> AntSliceMut<'a> {
             };
         }
         self.have_s1[i] = 0;
-        dec(self.assignment[i])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::controller::Controller;
-    use antalloc_noise::{FeedbackProbe, NoiseModel};
-    use antalloc_rng::StreamSeeder;
+    use crate::bank::testkit::assert_matches_reference;
+    use crate::controller::{AnyController, Controller};
+    use crate::ControllerBank;
 
     #[test]
     fn soa_bank_matches_per_ant_stepping() {
-        let n = 200;
-        let k = 3;
+        let (n, k) = (200, 3);
         let params = AntParams::new(1.0 / 16.0);
-        let seeder = StreamSeeder::new(9);
-        let mut bank = AntBank::new(k, params, n);
-        let mut reference: Vec<AlgorithmAnt> =
-            (0..n).map(|_| AlgorithmAnt::new(k, params)).collect();
-        let mut bank_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let model = NoiseModel::Sigmoid { lambda: 1.0 };
-        let mut out = vec![Assignment::Idle; n];
-        for round in 1..=40u64 {
-            let prepared = model.prepare(round, &[4, 0, -4], &[20, 20, 20]);
-            bank.as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs, &mut out);
-            for (i, ant) in reference.iter_mut().enumerate() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round}");
-                assert_eq!(ant.assignment(), bank.assignment(i), "ant {i}");
-            }
-        }
-        // Conversion out matches the reference controllers' behaviour on
-        // the next round too (persistent state is lossless).
-        let prepared = model.prepare(41, &[4, 0, -4], &[20, 20, 20]);
-        for i in 0..n {
-            let mut rebuilt = bank.to_controller(i);
-            let mut rng_a = bank_rngs[i].clone();
-            let mut probe = FeedbackProbe::new(&prepared, &mut rng_a);
-            let a = rebuilt.step(&mut probe);
-            let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-            let b = reference[i].step(&mut probe);
-            assert_eq!(a, b, "rebuilt ant {i} diverges");
-        }
+        let mut bank = ControllerBank::Ant(AntBank::new(k, params, n));
+        let mut reference: Vec<AnyController> = (0..n)
+            .map(|_| AlgorithmAnt::new(k, params).into())
+            .collect();
+        let fresh = || AlgorithmAnt::new(k, params).into();
+        assert_matches_reference(&mut bank, &mut reference, &fresh, k, 40, false);
+    }
+
+    /// AntDesync: offsets staggered by global id, spawns at offset 0,
+    /// against the per-ant reference under per-ant sensing.
+    #[test]
+    fn desync_bank_matches_per_ant_reference_under_per_ant_sensing() {
+        let (n, k) = (90, 2);
+        let params = AntParams::new(1.0 / 16.0);
+        let ids: Vec<u32> = (0..n).collect();
+        let mut bank = AntBank::new(k, params, ids.len());
+        bank.stagger(&ids);
+        let mut bank = ControllerBank::Ant(bank);
+        let mut reference: Vec<AnyController> = ids
+            .iter()
+            .map(|&i| AlgorithmAnt::with_phase_offset(k, params, u64::from(i % 2)).into())
+            .collect();
+        let fresh = || AlgorithmAnt::new(k, params).into();
+        assert_matches_reference(&mut bank, &mut reference, &fresh, k, 41, true);
     }
 
     #[test]
@@ -543,12 +363,13 @@ mod tests {
     fn push_and_reconstruct_roundtrip() {
         let params = AntParams::default();
         let mut bank = AntBank::new(2, params, 0);
-        let mut ant = AlgorithmAnt::new(2, params);
+        let mut ant = AlgorithmAnt::with_phase_offset(2, params, 1);
         ant.reset_to(Assignment::Task(1));
         bank.push_controller(&ant);
         assert_eq!(bank.len(), 1);
         assert_eq!(bank.assignment(0), Assignment::Task(1));
         let back = bank.to_controller(0);
         assert_eq!(back.assignment(), Assignment::Task(1));
+        assert_eq!(back.phase_offset(), 1);
     }
 }

@@ -2,20 +2,21 @@
 //!
 //! A colony that runs one algorithm should pay its dispatch once per
 //! **bank** per round, not once per ant. A [`ControllerBank`] stores all
-//! ants of one controller kind contiguously and steps them through the
-//! kind's `step_bank` entry point — a tight monomorphic loop over a
-//! shared [`RoundView`] — with the per-ant [`Controller`] impls as the
-//! reference semantics (bank-stepping is bit-identical to per-ant
+//! ants of one controller kind as flat columns and steps them through
+//! the kind's fused kernel — a tight monomorphic loop over the round's
+//! [`SensedRound`] — with the per-ant [`crate::Controller`] impls as
+//! the reference semantics (bank-stepping is bit-identical to per-ant
 //! stepping because every ant consumes only its own RNG stream, in the
 //! same order).
 //!
-//! Every shipped homogeneous kind has a **structure-of-arrays fast
-//! layout**: [`AntBank`] for synchronized §4 Ant colonies,
-//! [`crate::PreciseSigmoidBank`] for §5 (transposed counter planes),
-//! and the flat [`crate::TrivialBank`] / [`crate::ExactGreedyBank`]
-//! (one `u32` per ant — the shape of Ant's idle path). Only
-//! desynchronized Ant, Precise Adversarial and table-FSM banks keep the
-//! per-ant `Vec` layout.
+//! Every kind is a column bank built on one skeleton (see
+//! `column.rs`): [`AntBank`] for §4 Ant, synchronized or
+//! desynchronized (`AntDesync`, a per-ant phase-offset column),
+//! [`PreciseSigmoidBank`] for §5 (counter planes),
+//! [`PreciseAdversarialBank`] for Appendix C (phase-tracker columns),
+//! the flat [`TrivialBank`] / [`ExactGreedyBank`] /
+//! [`ProportionalBank`], and [`TableBank`] (a shared transition table
+//! plus a state column).
 //!
 //! Heterogeneous (mixed-controller) colonies are a `Vec` of banks; the
 //! engine layer owns the ant → (bank, slot) index. Parallel engines
@@ -26,118 +27,105 @@
 //! Stepping a two-ant bank by hand against exact feedback:
 //!
 //! ```
-//! use antalloc_core::{AnyController, ControllerBank, ExactGreedy, ExactGreedyParams};
-//! use antalloc_env::Assignment;
-//! use antalloc_noise::NoiseModel;
+//! use antalloc_core::{ControllerBank, ExactGreedyBank, ExactGreedyParams};
+//! use antalloc_env::{Assignment, ColumnWriter, RoundDelta, TaskColumn};
+//! use antalloc_noise::{NoiseModel, SensedRound};
 //! use antalloc_rng::StreamSeeder;
 //!
 //! let params = ExactGreedyParams { p_join: 1.0, p_leave: 0.0 };
-//! let mut bank: ControllerBank = (0..2)
-//!     .map(|_| AnyController::from(ExactGreedy::new(1, params)))
-//!     .collect();
+//! let mut bank = ControllerBank::ExactGreedy(ExactGreedyBank::new(1, params, 2));
 //! assert_eq!(bank.len(), 2);
 //! let seeder = StreamSeeder::new(7);
 //! let mut rngs = vec![seeder.ant(0), seeder.ant(1)];
 //! // Task 0 lacks two workers; deterministic joiners both sign up.
 //! let prepared = NoiseModel::Exact.prepare(1, &[2], &[2]);
-//! let mut out = vec![Assignment::Idle; 2];
-//! bank.step_batch(prepared.view(), &mut rngs, &mut out);
-//! assert_eq!(out, vec![Assignment::Task(0), Assignment::Task(0)]);
+//! let (prev, next) = (TaskColumn::new(2), TaskColumn::new(2));
+//! let mut delta = RoundDelta::new(1);
+//! let mut writer = ColumnWriter::new(&prev, &next, &mut delta);
+//! bank.step_batch_fused(SensedRound::shared(&prepared), &mut rngs, &[0, 1], &mut writer);
+//! assert_eq!(bank.assignment(0), Assignment::Task(0));
+//! assert_eq!(delta.switches(), 2);
 //! ```
 
 use antalloc_env::{Assignment, ColumnWriter};
-use antalloc_noise::{FeedbackProbe, RoundView, SensedRound};
+use antalloc_noise::{RoundView, SensedRound};
 use antalloc_rng::AntRng;
 
-use crate::ant::AlgorithmAnt;
+use crate::adversarial_bank::{AdversarialSliceMut, PreciseAdversarialBank};
 use crate::ant_bank::{AntBank, AntSliceMut};
-use crate::controller::{step_slice_fused, AnyController, Controller};
+use crate::controller::AnyController;
 use crate::flat_bank::{ExactGreedyBank, ExactGreedySliceMut, TrivialBank, TrivialSliceMut};
-use crate::precise_adversarial::PreciseAdversarial;
 use crate::proportional::{ProportionalBank, ProportionalSliceMut};
 use crate::sigmoid_bank::{PreciseSigmoidBank, SigmoidSliceMut};
-use crate::table_fsm::TableFsm;
+use crate::table_fsm::{TableBank, TableSliceMut};
 
 /// A contiguous, homogeneous population of controllers of one kind.
 ///
 /// One variant per shipped controller; the enum dispatch happens once
-/// per bank per round (in [`ControllerBank::step_batch`]), after which
-/// the kind's monomorphic bank loop runs.
+/// per bank per round (in [`ControllerBank::step_batch_fused`]), after
+/// which the kind's monomorphic bank loop runs.
 #[derive(Clone, Debug)]
 pub enum ControllerBank {
-    /// §4 Algorithm Ant, phase offset 0, in the structure-of-arrays
-    /// fast layout (see [`AntBank`]). This is the hot variant: a
-    /// homogeneous Ant colony streams ~an order of magnitude fewer
-    /// bytes per ant per round than the per-ant struct layout.
-    AntSoA(AntBank),
-    /// §4 Algorithm Ant with per-ant phase offsets (`AntDesync`).
-    Ant(Vec<AlgorithmAnt>),
-    /// §5 Algorithm Precise Sigmoid, in the structure-of-arrays fast
-    /// layout (see [`PreciseSigmoidBank`]).
+    /// §4 Algorithm Ant, synchronized or desynchronized (`AntDesync`).
+    Ant(AntBank),
+    /// §5 Algorithm Precise Sigmoid.
     PreciseSigmoid(PreciseSigmoidBank),
     /// Appendix C Algorithm Precise Adversarial.
-    PreciseAdversarial(Vec<PreciseAdversarial>),
-    /// Appendix D trivial algorithm, in the flat fast layout (see
-    /// [`TrivialBank`]).
+    PreciseAdversarial(PreciseAdversarialBank),
+    /// Appendix D trivial algorithm.
     Trivial(TrivialBank),
-    /// Exact-feedback baseline, in the flat fast layout (see
-    /// [`ExactGreedyBank`]).
+    /// Exact-feedback baseline.
     ExactGreedy(ExactGreedyBank),
-    /// Proportional-control rival, in the flat fast layout (see
-    /// [`ProportionalBank`]).
+    /// Proportional-control rival.
     Proportional(ProportionalBank),
     /// Explicit finite-state machines.
-    Table(Vec<TableFsm>),
+    Table(TableBank),
 }
 
-/// Dispatches to the structure-of-arrays banks (`$b`) and the per-ant
-/// `Vec` banks (`$v`) with one body each.
-macro_rules! each_bank {
-    ($self:ident, $b:ident => $soa_body:expr, $v:ident => $body:expr) => {
+/// A disjoint mutable chunk of one bank, steppable independently.
+///
+/// Parallel engines split each bank's population once per run and hand
+/// every worker its own set of chunks; bit-identity is unconditional
+/// because each ant still consumes only its own RNG stream.
+#[derive(Debug)]
+pub enum BankSliceMut<'a> {
+    /// Chunk of an Ant bank.
+    Ant(AntSliceMut<'a>),
+    /// Chunk of a Precise Sigmoid bank.
+    PreciseSigmoid(SigmoidSliceMut<'a>),
+    /// Chunk of a Precise Adversarial bank.
+    PreciseAdversarial(AdversarialSliceMut<'a>),
+    /// Chunk of a trivial bank.
+    Trivial(TrivialSliceMut<'a>),
+    /// Chunk of an exact-greedy bank.
+    ExactGreedy(ExactGreedySliceMut<'a>),
+    /// Chunk of a proportional-control bank.
+    Proportional(ProportionalSliceMut<'a>),
+    /// Chunk of a table-machine bank.
+    Table(TableSliceMut<'a>),
+}
+
+/// Dispatches over every variant of `$Enum` with one body, binding the
+/// bank (or chunk) to `$v` and, optionally, the same-named variant
+/// constructor of `$Wrap` to `$wrap`.
+macro_rules! dispatch {
+    ($self:expr, $Enum:ident($v:ident) $(, $Wrap:ident as $wrap:ident)? => $body:expr) => {
         match $self {
-            ControllerBank::AntSoA($b) => $soa_body,
-            ControllerBank::PreciseSigmoid($b) => $soa_body,
-            ControllerBank::Trivial($b) => $soa_body,
-            ControllerBank::ExactGreedy($b) => $soa_body,
-            ControllerBank::Proportional($b) => $soa_body,
-            ControllerBank::Ant($v) => $body,
-            ControllerBank::PreciseAdversarial($v) => $body,
-            ControllerBank::Table($v) => $body,
+            $Enum::Ant($v) => { $(let $wrap = $Wrap::Ant;)? $body }
+            $Enum::PreciseSigmoid($v) => { $(let $wrap = $Wrap::PreciseSigmoid;)? $body }
+            $Enum::PreciseAdversarial($v) => { $(let $wrap = $Wrap::PreciseAdversarial;)? $body }
+            $Enum::Trivial($v) => { $(let $wrap = $Wrap::Trivial;)? $body }
+            $Enum::ExactGreedy($v) => { $(let $wrap = $Wrap::ExactGreedy;)? $body }
+            $Enum::Proportional($v) => { $(let $wrap = $Wrap::Proportional;)? $body }
+            $Enum::Table($v) => { $(let $wrap = $Wrap::Table;)? $body }
         }
     };
 }
 
 impl ControllerBank {
-    /// An empty bank of the same kind as `c` (for engines that create
-    /// banks lazily from a prototype controller). Offset-0 Ant
-    /// controllers and every Precise Sigmoid / Trivial / ExactGreedy
-    /// colony get the structure-of-arrays layouts.
-    pub fn empty_like(c: &AnyController) -> Self {
-        match c {
-            AnyController::Ant(a) if a.phase_offset() == 0 => {
-                ControllerBank::AntSoA(AntBank::new(a.num_tasks(), *a.params(), 0))
-            }
-            AnyController::Ant(_) => ControllerBank::Ant(Vec::new()),
-            AnyController::PreciseSigmoid(c) => ControllerBank::PreciseSigmoid(
-                PreciseSigmoidBank::new(c.num_tasks(), *c.params(), 0),
-            ),
-            AnyController::PreciseAdversarial(_) => ControllerBank::PreciseAdversarial(Vec::new()),
-            AnyController::Trivial(c) => {
-                ControllerBank::Trivial(TrivialBank::new(c.num_tasks(), 0))
-            }
-            AnyController::ExactGreedy(c) => {
-                ControllerBank::ExactGreedy(ExactGreedyBank::new(c.num_tasks(), *c.params(), 0))
-            }
-            AnyController::Proportional(c) => {
-                ControllerBank::Proportional(ProportionalBank::new(c.num_tasks(), *c.params(), 0))
-            }
-            AnyController::Table(_) => ControllerBank::Table(Vec::new()),
-        }
-    }
-
     /// Number of ants in the bank.
     pub fn len(&self) -> usize {
-        each_bank!(self, b => b.len(), v => v.len())
+        dispatch!(self, ControllerBank(b) => b.len())
     }
 
     /// True iff the bank holds no ants.
@@ -145,23 +133,10 @@ impl ControllerBank {
         self.len() == 0
     }
 
-    /// Steps every ant in the bank against one shared [`RoundView`],
-    /// writing decisions into `out` (one slot per ant, bank order).
-    ///
-    /// Bit-identical to calling [`Controller::step`] per ant.
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
-        self.as_slice_mut().step_batch(view, rngs, out)
-    }
-
-    /// Fused-apply variant of [`ControllerBank::step_batch`]: steps
-    /// every ant and routes each transition through `writer` — the
-    /// engine's shared next-state column plus a local
+    /// Steps every ant in the bank, routing each transition through
+    /// `writer` — the engine's shared next-state column plus a local
     /// [`antalloc_env::RoundDelta`] — at the ants' colony ids (`ids`,
-    /// one per ant, bank order). Same draws, same streams; see
-    /// [`BankSliceMut::step_batch_fused`].
-    ///
-    /// Takes the round as a [`SensedRound`]; a shared (well-mixed)
-    /// round runs the same code as before the sensing layer existed.
+    /// one per ant, bank order). See [`BankSliceMut::step_batch_fused`].
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
@@ -176,133 +151,54 @@ impl ControllerBank {
     /// The whole bank as a splittable mutable slice (for partitioning
     /// across workers).
     pub fn as_slice_mut(&mut self) -> BankSliceMut<'_> {
-        match self {
-            ControllerBank::AntSoA(b) => BankSliceMut::AntSoA(b.as_slice_mut()),
-            ControllerBank::Ant(v) => BankSliceMut::Ant(v),
-            ControllerBank::PreciseSigmoid(b) => BankSliceMut::PreciseSigmoid(b.as_slice_mut()),
-            ControllerBank::PreciseAdversarial(v) => BankSliceMut::PreciseAdversarial(v),
-            ControllerBank::Trivial(b) => BankSliceMut::Trivial(b.as_slice_mut()),
-            ControllerBank::ExactGreedy(b) => BankSliceMut::ExactGreedy(b.as_slice_mut()),
-            ControllerBank::Proportional(b) => BankSliceMut::Proportional(b.as_slice_mut()),
-            ControllerBank::Table(v) => BankSliceMut::Table(v),
-        }
+        dispatch!(self, ControllerBank(b), BankSliceMut as wrap => wrap(b.as_slice_mut()))
     }
 
     /// Steps the single ant at `slot` (sequential-model engines).
     pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        each_bank!(self,
-        b => b.step_slot(slot, view, rng),
-        v => {
-            let mut probe = FeedbackProbe::from_view(view, rng);
-            v[slot].step(&mut probe)
-        })
+        dispatch!(self, ControllerBank(b) => b.step_slot(slot, view, rng))
     }
 
     /// The assignment of the ant at `slot`.
     pub fn assignment(&self, slot: usize) -> Assignment {
-        each_bank!(self, b => b.assignment(slot), v => v[slot].assignment())
+        dispatch!(self, ControllerBank(b) => b.assignment(slot))
     }
 
-    /// Forces the ant at `slot` into `a` (see [`Controller::reset_to`]).
+    /// Forces the ant at `slot` into `a` (see
+    /// [`crate::Controller::reset_to`]).
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
-        each_bank!(self, b => b.reset_slot(slot, a), v => v[slot].reset_to(a))
+        dispatch!(self, ControllerBank(b) => b.reset_slot(slot, a))
     }
 
-    /// Persistent memory of the ant at `slot`, in bits.
-    pub fn memory_bits(&self, slot: usize) -> u32 {
-        each_bank!(self, b => { let _ = slot; b.memory_bits() }, v => v[slot].memory_bits())
+    /// Persistent memory per ant, in bits (uniform across a bank).
+    pub fn memory_bits(&self) -> u32 {
+        dispatch!(self, ControllerBank(b) => b.memory_bits())
     }
 
-    /// Appends a controller to the bank.
-    ///
-    /// # Panics
-    /// If the controller's kind does not match the bank's — banks are
-    /// homogeneous by construction.
-    pub fn push(&mut self, c: AnyController) {
-        match (self, c) {
-            (ControllerBank::AntSoA(b), AnyController::Ant(c)) => b.push_controller(&c),
-            (ControllerBank::Ant(v), AnyController::Ant(c)) => v.push(c),
-            (ControllerBank::PreciseSigmoid(b), AnyController::PreciseSigmoid(c)) => {
-                b.push_controller(&c)
-            }
-            (ControllerBank::PreciseAdversarial(v), AnyController::PreciseAdversarial(c)) => {
-                v.push(c)
-            }
-            (ControllerBank::Trivial(b), AnyController::Trivial(c)) => b.push_controller(&c),
-            (ControllerBank::ExactGreedy(b), AnyController::ExactGreedy(c)) => {
-                b.push_controller(&c)
-            }
-            (ControllerBank::Proportional(b), AnyController::Proportional(c)) => {
-                b.push_controller(&c)
-            }
-            (ControllerBank::Table(v), AnyController::Table(c)) => v.push(c),
-            // audit:allow(panic-path): documented precondition — Population routes controllers to the bank of their own kind.
-            _ => panic!("controller kind does not match bank kind"),
-        }
+    /// Appends one fresh ant of the bank's kind (a spawn).
+    /// Desynchronized Ant spawns run phase offset 0.
+    pub fn push_fresh(&mut self) {
+        dispatch!(self, ControllerBank(b) => b.push_fresh())
     }
 
     /// Removes the ant at `slot` by swap-removal (the last ant moves
     /// into `slot`). Callers must mirror the swap in any parallel
     /// per-slot arrays (RNGs, ant-id maps).
     pub fn swap_remove(&mut self, slot: usize) {
-        each_bank!(self, b => b.swap_remove(slot), v => {
-            v.swap_remove(slot);
-        })
+        dispatch!(self, ControllerBank(b) => b.swap_remove(slot))
     }
 
-    /// A clone of the ant at `slot`, boxed into the dispatch enum
-    /// (reference extraction for tests and baseline replays).
+    /// The ant at `slot` as its per-ant reference controller (reference
+    /// extraction for tests and baseline replays).
     pub fn to_any(&self, slot: usize) -> AnyController {
-        each_bank!(self, b => b.to_controller(slot).into(), v => v[slot].clone().into())
+        dispatch!(self, ControllerBank(b) => b.to_controller(slot).into())
     }
-}
-
-/// A disjoint mutable chunk of one bank, steppable independently.
-///
-/// Parallel engines split each bank's population once per run and hand
-/// every worker its own set of chunks; bit-identity is unconditional
-/// because each ant still consumes only its own RNG stream.
-#[derive(Debug)]
-pub enum BankSliceMut<'a> {
-    /// Chunk of a structure-of-arrays Ant bank.
-    AntSoA(AntSliceMut<'a>),
-    /// Chunk of a per-ant Algorithm Ant bank (desynchronized offsets).
-    Ant(&'a mut [AlgorithmAnt]),
-    /// Chunk of a structure-of-arrays Precise Sigmoid bank.
-    PreciseSigmoid(SigmoidSliceMut<'a>),
-    /// Chunk of a Precise Adversarial bank.
-    PreciseAdversarial(&'a mut [PreciseAdversarial]),
-    /// Chunk of a flat trivial bank.
-    Trivial(TrivialSliceMut<'a>),
-    /// Chunk of a flat exact-greedy bank.
-    ExactGreedy(ExactGreedySliceMut<'a>),
-    /// Chunk of a flat proportional-control bank.
-    Proportional(ProportionalSliceMut<'a>),
-    /// Chunk of a table-machine bank.
-    Table(&'a mut [TableFsm]),
-}
-
-/// Dispatches over every chunk kind with one body (all chunk types
-/// share the `len`/`is_empty` surface).
-macro_rules! each_slice {
-    ($self:ident, $v:ident => $body:expr) => {
-        match $self {
-            BankSliceMut::AntSoA($v) => $body,
-            BankSliceMut::Ant($v) => $body,
-            BankSliceMut::PreciseSigmoid($v) => $body,
-            BankSliceMut::PreciseAdversarial($v) => $body,
-            BankSliceMut::Trivial($v) => $body,
-            BankSliceMut::ExactGreedy($v) => $body,
-            BankSliceMut::Proportional($v) => $body,
-            BankSliceMut::Table($v) => $body,
-        }
-    };
 }
 
 impl<'a> BankSliceMut<'a> {
     /// Number of ants in the chunk.
     pub fn len(&self) -> usize {
-        each_slice!(self, v => v.len())
+        dispatch!(self, BankSliceMut(v) => v.len())
     }
 
     /// True iff the chunk is empty.
@@ -312,76 +208,22 @@ impl<'a> BankSliceMut<'a> {
 
     /// Splits the chunk at `mid` into two disjoint chunks.
     pub fn split_at_mut(self, mid: usize) -> (BankSliceMut<'a>, BankSliceMut<'a>) {
-        match self {
-            BankSliceMut::AntSoA(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::AntSoA(a), BankSliceMut::AntSoA(b))
-            }
-            BankSliceMut::Ant(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::Ant(a), BankSliceMut::Ant(b))
-            }
-            BankSliceMut::PreciseSigmoid(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (
-                    BankSliceMut::PreciseSigmoid(a),
-                    BankSliceMut::PreciseSigmoid(b),
-                )
-            }
-            BankSliceMut::PreciseAdversarial(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (
-                    BankSliceMut::PreciseAdversarial(a),
-                    BankSliceMut::PreciseAdversarial(b),
-                )
-            }
-            BankSliceMut::Trivial(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::Trivial(a), BankSliceMut::Trivial(b))
-            }
-            BankSliceMut::ExactGreedy(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::ExactGreedy(a), BankSliceMut::ExactGreedy(b))
-            }
-            BankSliceMut::Proportional(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::Proportional(a), BankSliceMut::Proportional(b))
-            }
-            BankSliceMut::Table(v) => {
-                let (a, b) = v.split_at_mut(mid);
-                (BankSliceMut::Table(a), BankSliceMut::Table(b))
-            }
-        }
-    }
-
-    /// Steps every ant in the chunk (same contract as
-    /// [`ControllerBank::step_batch`]).
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
-        match self {
-            BankSliceMut::AntSoA(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::Ant(v) => AlgorithmAnt::step_bank(v, view, rngs, out),
-            BankSliceMut::PreciseSigmoid(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::PreciseAdversarial(v) => {
-                PreciseAdversarial::step_bank(v, view, rngs, out)
-            }
-            BankSliceMut::Trivial(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::ExactGreedy(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::Proportional(v) => v.step_batch(view, rngs, out),
-            BankSliceMut::Table(v) => TableFsm::step_bank(v, view, rngs, out),
-        }
+        dispatch!(self, BankSliceMut(v), BankSliceMut as wrap => {
+            let (a, b) = v.split_at_mut(mid);
+            (wrap(a), wrap(b))
+        })
     }
 
     /// Fused-apply stepping: every ant's next assignment goes straight
     /// into the engine's shared next-state column (at `ids[i]`, the
     /// ant's colony id) and its transition into the writer's local
-    /// delta — no decisions buffer, no apply sweep. Draw-for-draw
-    /// identical to [`BankSliceMut::step_batch`]: the fused kernels run
-    /// the same per-ant code and only change where the result is
-    /// stored.
+    /// delta — no decisions buffer, no apply sweep. Each kernel consumes
+    /// every ant's draws exactly as the per-ant reference
+    /// [`crate::Controller::step`] would.
     ///
-    /// Takes the round as a [`SensedRound`]; every kernel dispatches on
-    /// [`SensedRound::shared_view`] so well-mixed rounds run the exact
-    /// pre-sensing-layer loops.
+    /// Takes the round as a [`SensedRound`]: well-mixed rounds hoist
+    /// the one shared view out of the loop; arena rounds select each
+    /// ant's view with [`SensedRound::view_for`].
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
@@ -389,68 +231,175 @@ impl<'a> BankSliceMut<'a> {
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
-        match self {
-            BankSliceMut::AntSoA(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::Ant(v) => step_slice_fused(v, sensed, rngs, ids, writer),
-            BankSliceMut::PreciseSigmoid(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::PreciseAdversarial(v) => step_slice_fused(v, sensed, rngs, ids, writer),
-            BankSliceMut::Trivial(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::ExactGreedy(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::Proportional(v) => v.step_batch_fused(sensed, rngs, ids, writer),
-            BankSliceMut::Table(v) => step_slice_fused(v, sensed, rngs, ids, writer),
-        }
+        dispatch!(self, BankSliceMut(v) => v.step_batch_fused(sensed, rngs, ids, writer))
     }
 }
 
-impl FromIterator<AnyController> for ControllerBank {
-    /// Collects controllers into a bank; they must all be of one kind.
-    ///
-    /// # Panics
-    /// On an empty iterator (the kind would be unknown) or a kind
-    /// mismatch.
-    fn from_iter<T: IntoIterator<Item = AnyController>>(iter: T) -> Self {
-        let mut iter = iter.into_iter();
-        // audit:allow(panic-path): documented precondition — FromIterator cannot name a kind for zero controllers.
-        let first = iter.next().expect("cannot infer the kind of an empty bank");
-        let mut bank = ControllerBank::empty_like(&first);
-        bank.push(first);
-        for c in iter {
-            bank.push(c);
+/// The bank-vs-reference harness the per-kind unit tests share.
+#[cfg(test)]
+pub(crate) mod testkit {
+    use super::*;
+    use crate::controller::Controller;
+    use antalloc_env::{RoundDelta, TaskColumn};
+    use antalloc_noise::{FeedbackProbe, NoiseModel, TaskFeedback};
+    use antalloc_rng::StreamSeeder;
+
+    /// Signal rows for round `t`: row 0 is saturated (task 0 lacks,
+    /// every other task overloads — draw-free), rows 1 and 2 rotate
+    /// small deficits so every signal stays stochastic.
+    fn rows(t: u64, k: usize) -> Vec<TaskFeedback> {
+        let model = NoiseModel::Sigmoid { lambda: 1.0 };
+        let demands = vec![20u64; k];
+        (0..3u64)
+            .flat_map(|row| {
+                let deficits: Vec<i64> = (0..k)
+                    .map(|j| match row {
+                        0 if j == 0 => 40,
+                        0 => -40,
+                        _ => [3i64, 0, -3][(t + row + j as u64) as usize % 3],
+                    })
+                    .collect();
+                model.prepare(t, &deficits, &demands).tasks().to_vec()
+            })
+            .collect()
+    }
+
+    /// Asserts the persistent state of the ant at `slot` of `bank`,
+    /// read from the bank's columns, equal to the reference
+    /// controller's: the Ant phase trackers and offset, the Precise
+    /// Sigmoid and Precise Adversarial rows, the Proportional streak,
+    /// the table state. Trivial and Exact Greedy ants hold only the
+    /// assignment, which the caller compares.
+    fn assert_same_state(bank: &ControllerBank, slot: usize, c: &AnyController, at: &str) {
+        match (bank, c) {
+            (ControllerBank::Ant(b), AnyController::Ant(a)) => {
+                assert_eq!(b.to_controller(slot).bank_state(), a.bank_state(), "{at}");
+            }
+            (ControllerBank::PreciseSigmoid(b), AnyController::PreciseSigmoid(a)) => {
+                assert_eq!(b.row(slot), a.row(), "{at}");
+            }
+            (ControllerBank::PreciseAdversarial(b), AnyController::PreciseAdversarial(a)) => {
+                assert_eq!(b.row(slot), a.row(), "{at}");
+            }
+            (ControllerBank::Proportional(b), AnyController::Proportional(a)) => {
+                assert_eq!(b.streak(slot), a.streak(), "{at}");
+            }
+            (ControllerBank::Table(b), AnyController::Table(a)) => {
+                assert_eq!(b.state(slot), a.state(), "{at}");
+            }
+            (ControllerBank::Trivial(_), AnyController::Trivial(_))
+            | (ControllerBank::ExactGreedy(_), AnyController::ExactGreedy(_)) => {}
+            _ => panic!("bank and reference kinds differ"),
         }
-        bank
+    }
+
+    /// Steps `bank` through the fused path and `reference` (the same
+    /// ants as per-ant controllers, in slot order) through
+    /// [`Controller::step`] side by side for `rounds` rounds, asserting
+    /// every decision and, after every round, every ant's persistent
+    /// state equal. With `per_ant` every ant senses one of three signal
+    /// rows (by colony id, the arena's form); otherwise all share row 1
+    /// (the well-mixed form). Both sides see the same slot edits: a
+    /// third of the ants start on tasks, slot 3 is swap-removed at
+    /// round 5, a fresh ant (`fresh` on the reference side) is pushed
+    /// at round 9, and slots 1 and 2 are reset at round 13. At round
+    /// `rounds / 2` the reference is rebuilt from the bank (`to_any`),
+    /// so the second half also checks that reconstruction mid-run is
+    /// lossless.
+    pub(crate) fn assert_matches_reference(
+        bank: &mut ControllerBank,
+        reference: &mut Vec<AnyController>,
+        fresh: &dyn Fn() -> AnyController,
+        k: usize,
+        rounds: u64,
+        per_ant: bool,
+    ) {
+        let n = reference.len();
+        assert_eq!(bank.len(), n);
+        let seeder = StreamSeeder::new(n as u64 ^ rounds);
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        let mut rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
+        let mut ref_rngs = rngs.clone();
+        let sense_of: Vec<u32> = (0..=n as u32).map(|id| id % 3).collect();
+        let column = TaskColumn::new(n + 1);
+        let mut delta = RoundDelta::new(k);
+        for slot in (0..n).step_by(3) {
+            let a = Assignment::Task((slot % k) as u32);
+            bank.reset_slot(slot, a);
+            reference[slot].reset_to(a);
+        }
+        for t in 1..=rounds {
+            match t {
+                5 => {
+                    bank.swap_remove(3);
+                    reference.swap_remove(3);
+                    rngs.swap_remove(3);
+                    ref_rngs.swap_remove(3);
+                    ids.swap_remove(3);
+                }
+                9 => {
+                    bank.push_fresh();
+                    reference.push(fresh());
+                    rngs.push(seeder.ant(n));
+                    ref_rngs.push(seeder.ant(n));
+                    ids.push(n as u32);
+                }
+                13 => {
+                    for (slot, a) in [(1, Assignment::Task(0)), (2, Assignment::Idle)] {
+                        bank.reset_slot(slot, a);
+                        reference[slot].reset_to(a);
+                    }
+                }
+                _ if t == rounds / 2 => {
+                    *reference = (0..bank.len()).map(|s| bank.to_any(s)).collect();
+                }
+                _ => {}
+            }
+            let rows = rows(t, k);
+            let sensed = if per_ant {
+                SensedRound::from_parts(&rows, &sense_of, k, t)
+            } else {
+                SensedRound::from_parts(&rows[k..2 * k], &[], k, t)
+            };
+            delta.reset(k);
+            let mut writer = ColumnWriter::new(&column, &column, &mut delta);
+            bank.step_batch_fused(sensed, &mut rngs, &ids, &mut writer);
+            for (slot, c) in reference.iter_mut().enumerate() {
+                let id = ids[slot];
+                let view = sensed.shared_view().unwrap_or_else(|| sensed.view_for(id));
+                let mut probe = FeedbackProbe::from_view(view, &mut ref_rngs[slot]);
+                let want = c.step(&mut probe);
+                assert_eq!(column.load(id), want.to_raw(), "slot {slot} round {t}");
+                assert_eq!(bank.assignment(slot), want, "slot {slot} round {t}");
+                assert_same_state(bank, slot, c, &format!("slot {slot} round {t}"));
+            }
+        }
+        for (slot, c) in reference.iter().enumerate() {
+            assert_eq!(bank.memory_bits(), c.memory_bits(), "slot {slot}");
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ant::AlgorithmAnt;
+    use crate::controller::Controller;
     use crate::params::{AntParams, PreciseSigmoidParams};
     use crate::precise_sigmoid::PreciseSigmoid;
-    use antalloc_noise::NoiseModel;
+    use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
     #[test]
     fn bank_stepping_matches_per_ant_stepping() {
-        let n = 64;
-        let seeder = StreamSeeder::new(42);
-        let mut bank: ControllerBank = (0..n)
-            .map(|_| AnyController::from(AlgorithmAnt::new(2, AntParams::default())))
-            .collect();
+        let (n, k) = (64, 2);
+        let params = AntParams::default();
+        let mut bank = ControllerBank::Ant(AntBank::new(k, params, n));
         let mut reference: Vec<AnyController> = (0..n)
-            .map(|_| AlgorithmAnt::new(2, AntParams::default()).into())
+            .map(|_| AlgorithmAnt::new(k, params).into())
             .collect();
-        let mut bank_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let model = NoiseModel::Sigmoid { lambda: 1.0 };
-        let mut out = vec![Assignment::Idle; n];
-        for round in 1..=20u64 {
-            let prepared = model.prepare(round, &[3, -2], &[10, 10]);
-            bank.step_batch(prepared.view(), &mut bank_rngs, &mut out);
-            for (i, c) in reference.iter_mut().enumerate() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(c.step(&mut probe), out[i], "ant {i} round {round}");
-            }
-        }
+        let fresh = || AlgorithmAnt::new(k, params).into();
+        testkit::assert_matches_reference(&mut bank, &mut reference, &fresh, k, 20, false);
     }
 
     #[test]
@@ -464,13 +413,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not match")]
-    fn mismatched_push_panics() {
-        let mut bank = ControllerBank::Trivial(TrivialBank::new(1, 0));
-        bank.push(AlgorithmAnt::new(1, AntParams::default()).into());
-    }
-
-    #[test]
     fn scratch_roundtrips_for_sigmoid_banks_only() {
         // A mid-phase row read from a per-ant controller and written
         // into a reset bank slot reads back unchanged.
@@ -480,12 +422,10 @@ mod tests {
         let prepared = NoiseModel::Sigmoid { lambda: 1.0 }.prepare(1, &[3, -3], &[10, 10]);
         let mut rng = StreamSeeder::new(5).ant(0);
         ant.step(&mut FeedbackProbe::new(&prepared, &mut rng));
-        let mut bank: ControllerBank = (0..3)
-            .map(|_| AnyController::from(PreciseSigmoid::new(2, params)))
-            .collect();
+        let mut bank = ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(2, params, 3));
         bank.reset_slot(1, ant.assignment());
         let ControllerBank::PreciseSigmoid(b) = &mut bank else {
-            unreachable!("sigmoid banks use the SoA layout");
+            unreachable!("sigmoid colonies use the sigmoid bank");
         };
         b.set_row(1, ant.row());
         assert_eq!(b.row(1), ant.row());

@@ -1,7 +1,7 @@
 //! The controller abstraction and the static-dispatch enum.
 
 use antalloc_env::{Assignment, ColumnWriter};
-use antalloc_noise::{FeedbackProbe, RoundView, SensedRound};
+use antalloc_noise::{FeedbackProbe, SensedRound};
 use antalloc_rng::AntRng;
 
 use crate::ant::AlgorithmAnt;
@@ -41,35 +41,13 @@ pub trait Controller {
     fn memory_bits(&self) -> u32;
 }
 
-/// Steps a homogeneous slice of controllers in one tight monomorphic
-/// loop — the bank-stepping primitive behind [`crate::ControllerBank`].
-///
-/// Semantically identical to calling [`Controller::step`] per ant with a
-/// fresh probe: ant `i` of the slice consumes exactly the draws it would
-/// have consumed under per-ant stepping (each ant owns its RNG stream),
-/// so bank-stepped colonies are bit-identical to per-ant-stepped ones.
-/// The win is dispatch: the controller type is fixed for the whole
-/// slice, so `step` inlines and the per-ant enum branch disappears.
-pub fn step_slice<C: Controller>(
-    ants: &mut [C],
-    view: RoundView<'_>,
-    rngs: &mut [AntRng],
-    out: &mut [Assignment],
-) {
-    assert_eq!(ants.len(), rngs.len(), "one RNG stream per ant");
-    assert_eq!(ants.len(), out.len(), "one decision slot per ant");
-    for ((ant, rng), slot) in ants.iter_mut().zip(rngs.iter_mut()).zip(out.iter_mut()) {
-        let mut probe = FeedbackProbe::from_view(view, rng);
-        *slot = ant.step(&mut probe);
-    }
-}
-
-/// Fused-apply variant of [`step_slice`]: same draws, same order, with
-/// each ant's decision routed through `writer` — storing the next
-/// assignment into the shared next-state column at the ant's colony id
-/// (`ids[i]`) and folding the switch/load/idle change into the writer's
-/// local delta against the authoritative previous column. The loop
-/// never touches `ColonyState` itself.
+/// Steps a slice of per-ant controllers in one monomorphic loop, each
+/// through its own probe, routing every decision through `writer` —
+/// storing the next assignment into the shared next-state column at
+/// the ant's colony id (`ids[i]`) and folding the switch/load/idle
+/// change into the writer's local delta. This is the generic per-ant
+/// baseline the column banks race against (`perf_engine`); engines
+/// step [`crate::ControllerBank`]s.
 ///
 /// Takes the round as a [`SensedRound`]: the well-mixed (shared) form
 /// hoists one view out of the loop as before; the per-ant form builds
@@ -101,10 +79,9 @@ pub fn step_slice_fused<C: Controller>(
     }
 }
 
-/// Static-dispatch union of every shipped controller.
-///
-/// The simulator stores `Vec<AnyController>`; an enum keeps the hot loop
-/// free of virtual calls and keeps controllers `Clone` for checkpointing.
+/// Static-dispatch union of every shipped per-ant controller: the
+/// reference representation that bank-equivalence tests and baseline
+/// replays compare the column banks against.
 #[derive(Clone, Debug)]
 pub enum AnyController {
     /// §4 Algorithm Ant.

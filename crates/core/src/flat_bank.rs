@@ -1,12 +1,12 @@
-//! Flat structure-of-arrays banks for the single-sample controllers.
+//! Flat column banks for the single-sample controllers.
 //!
 //! [`Trivial`] (Appendix D) and [`ExactGreedy`] (the \[11\]-style
 //! baseline) carry no cross-round state besides their assignment, so
-//! their fast layout is one `u32` per ant — the same shape as the idle
-//! path of [`crate::AntBank`]. Stepping streams a single flat array
-//! instead of a `Vec` of per-ant structs (each dragging a heap-allocated
-//! scratch bitmap), and the idle path's full-vector sample goes through
-//! the batched [`RoundView::fill_lack`] draw.
+//! their bank is one `u32` column — the same shape as the idle path of
+//! [`crate::AntBank`]. Stepping streams a single flat array instead of
+//! a `Vec` of per-ant structs (each dragging a heap-allocated scratch
+//! bitmap), and the idle path's full-vector sample goes through the
+//! batched [`RoundView::lack_mask`] / [`RoundView::fill_lack`] draws.
 //!
 //! **Reference semantics.** The per-ant [`crate::Controller`] impls are
 //! the truth: each bank consumes every ant's RNG stream in exactly the
@@ -19,7 +19,8 @@ use antalloc_env::{Assignment, ColumnWriter};
 use antalloc_noise::{RoundView, SensedRound};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, refill, IDLE};
+use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit};
+use crate::column::{column_bank, dec, drive, enc, IDLE};
 use crate::controller::Controller;
 use crate::exact_greedy::{ExactGreedy, ExactGreedyParams};
 use crate::trivial::Trivial;
@@ -35,22 +36,22 @@ pub(crate) fn scratch_row(num_tasks: usize) -> Vec<u8> {
     }
 }
 
-/// A homogeneous [`Trivial`] population in flat layout.
-#[derive(Clone, Debug)]
-pub struct TrivialBank {
-    num_tasks: usize,
-    /// Assignment per ant (`IDLE` when idle).
-    assignment: Vec<u32>,
+column_bank! {
+    /// A homogeneous [`Trivial`] population in flat layout.
+    pub struct TrivialBank,
+    /// A disjoint mutable chunk of a [`TrivialBank`].
+    TrivialSliceMut {
+        consts: (),
+        fresh(c),
+        /// Assignment per ant (`IDLE` when idle).
+        assignment: u32 [1] = IDLE,
+    }
 }
 
 impl TrivialBank {
     /// An all-idle bank of `n` fresh ants.
     pub fn new(num_tasks: usize, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
-        Self {
-            num_tasks,
-            assignment: vec![IDLE; n],
-        }
+        Self::with_consts((), num_tasks, n)
     }
 
     /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
@@ -58,19 +59,7 @@ impl TrivialBank {
     /// reallocates). State after the call is bit-identical to
     /// `TrivialBank::new(num_tasks, n)`.
     pub fn reinit(&mut self, num_tasks: usize, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.num_tasks = num_tasks;
-        refill(&mut self.assignment, IDLE, n);
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
+        self.reset_columns(num_tasks, n);
     }
 
     /// Appends a per-ant controller, transposing its state in.
@@ -87,11 +76,6 @@ impl TrivialBank {
         ant
     }
 
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
     /// Forces the ant at `slot` into `a`.
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
         self.assignment[slot] = enc(a);
@@ -102,84 +86,19 @@ impl TrivialBank {
         crate::memory::bits_for_states(self.num_tasks + 1)
     }
 
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        self.assignment.swap_remove(slot);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> TrivialSliceMut<'_> {
-        TrivialSliceMut {
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment,
-        }
-    }
-
     /// Steps the single ant at `slot` (the sequential model's path).
     pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
         // The row buffer backs only the > 64-task fallback; the common
         // bit-packed path must not allocate per sequential round.
         let mut row = scratch_row(self.num_tasks);
-        TrivialSliceMut {
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment[slot..slot + 1],
-        }
-        .step_one(0, view, rng, &mut row)
+        self.slot_mut(slot).step_one(0, view, rng, &mut row);
+        self.assignment(slot)
     }
 }
 
-/// A disjoint mutable chunk of a [`TrivialBank`].
-#[derive(Debug)]
-pub struct TrivialSliceMut<'a> {
-    num_tasks: usize,
-    assignment: &'a mut [u32],
-}
-
-impl<'a> TrivialSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (TrivialSliceMut<'a>, TrivialSliceMut<'a>) {
-        let (a, b) = self.assignment.split_at_mut(mid);
-        (
-            TrivialSliceMut {
-                num_tasks: self.num_tasks,
-                assignment: a,
-            },
-            TrivialSliceMut {
-                num_tasks: self.num_tasks,
-                assignment: b,
-            },
-        )
-    }
-
-    /// Steps every ant in the chunk; bit-identical to per-ant
-    /// [`Controller::step`] on [`Trivial`].
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
-        let mut row = scratch_row(self.num_tasks);
-        for i in 0..n {
-            out[i] = self.step_one(i, view, &mut rngs[i], &mut row);
-        }
-    }
-
-    /// Fused-apply variant of [`TrivialSliceMut::step_batch`]: same
-    /// draws, with each transition routed through `writer` (shared next
-    /// column + local delta) at the ant's colony id (`ids[i]`).
-    ///
-    /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
-    /// form runs the pre-existing hoisted-view loop; the per-ant form
-    /// re-selects the view per ant (`sensed.view_for(ids[i])`).
+impl TrivialSliceMut<'_> {
+    /// Steps every ant, routing each transition through `writer` at the
+    /// ant's colony id (`ids[i]`); see [`crate::BankSliceMut::step_batch_fused`].
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
@@ -187,24 +106,10 @@ impl<'a> TrivialSliceMut<'a> {
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, ids.len(), "one colony id per ant");
         let mut row = scratch_row(self.num_tasks);
-        match sensed.shared_view() {
-            Some(view) => {
-                for i in 0..n {
-                    self.step_one(i, view, &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
-                }
-            }
-            None => {
-                for i in 0..n {
-                    self.step_one(i, sensed.view_for(ids[i]), &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
-                }
-            }
-        }
+        drive!(self, sensed, rngs, ids, writer, |s, i, view, rng| {
+            s.step_one(i, view, rng, &mut row)
+        });
     }
 
     /// One ant's round: idle → sample all tasks, join a uniformly random
@@ -213,13 +118,7 @@ impl<'a> TrivialSliceMut<'a> {
     /// for ≤ 64 tasks (one pass, one register) and the row-buffer form
     /// beyond; both consume draws in task order like the reference.
     #[inline(always)]
-    fn step_one(
-        &mut self,
-        i: usize,
-        view: RoundView<'_>,
-        rng: &mut AntRng,
-        row: &mut [u8],
-    ) -> Assignment {
+    fn step_one(&mut self, i: usize, view: RoundView<'_>, rng: &mut AntRng, row: &mut [u8]) {
         let cur = self.assignment[i];
         if cur == IDLE {
             if self.num_tasks <= 64 {
@@ -238,32 +137,43 @@ impl<'a> TrivialSliceMut<'a> {
         } else if !view.sample(crate::cast::task_ix(cur), rng).is_lack() {
             self.assignment[i] = IDLE;
         }
-        dec(self.assignment[i])
     }
 }
 
-/// A homogeneous [`ExactGreedy`] population in flat layout.
-#[derive(Clone, Debug)]
-pub struct ExactGreedyBank {
+/// The bank constants of an exact-greedy bank.
+#[derive(Clone, Copy, Debug)]
+struct GreedyConsts {
     params: ExactGreedyParams,
     join: Bernoulli,
     leave: Bernoulli,
-    num_tasks: usize,
-    /// Assignment per ant (`IDLE` when idle).
-    assignment: Vec<u32>,
+}
+
+impl GreedyConsts {
+    fn new(params: ExactGreedyParams) -> Self {
+        Self {
+            params,
+            join: Bernoulli::new(params.p_join),
+            leave: Bernoulli::new(params.p_leave),
+        }
+    }
+}
+
+column_bank! {
+    /// A homogeneous [`ExactGreedy`] population in flat layout.
+    pub struct ExactGreedyBank,
+    /// A disjoint mutable chunk of an [`ExactGreedyBank`].
+    ExactGreedySliceMut {
+        consts: GreedyConsts,
+        fresh(c),
+        /// Assignment per ant (`IDLE` when idle).
+        assignment: u32 [1] = IDLE,
+    }
 }
 
 impl ExactGreedyBank {
     /// An all-idle bank of `n` fresh ants.
     pub fn new(num_tasks: usize, params: ExactGreedyParams, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
-        Self {
-            params,
-            join: Bernoulli::new(params.p_join),
-            leave: Bernoulli::new(params.p_leave),
-            num_tasks,
-            assignment: vec![IDLE; n],
-        }
+        Self::with_consts(GreedyConsts::new(params), num_tasks, n)
     }
 
     /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
@@ -271,27 +181,13 @@ impl ExactGreedyBank {
     /// reallocates). State after the call is bit-identical to
     /// `ExactGreedyBank::new(num_tasks, params, n)`.
     pub fn reinit(&mut self, num_tasks: usize, params: ExactGreedyParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.params = params;
-        self.join = Bernoulli::new(params.p_join);
-        self.leave = Bernoulli::new(params.p_leave);
-        self.num_tasks = num_tasks;
-        refill(&mut self.assignment, IDLE, n);
+        self.consts = GreedyConsts::new(params);
+        self.reset_columns(num_tasks, n);
     }
 
     /// The parameters every ant in the bank runs.
     pub fn params(&self) -> &ExactGreedyParams {
-        &self.params
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
+        &self.consts.params
     }
 
     /// Appends a per-ant controller, transposing its state in.
@@ -303,14 +199,9 @@ impl ExactGreedyBank {
     /// Reconstructs the per-ant controller at `slot` (reference
     /// extraction; lossless — the assignment is the whole state).
     pub fn to_controller(&self, slot: usize) -> ExactGreedy {
-        let mut ant = ExactGreedy::new(self.num_tasks, self.params);
+        let mut ant = ExactGreedy::new(self.num_tasks, self.consts.params);
         ant.reset_to(dec(self.assignment[slot]));
         ant
-    }
-
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
     }
 
     /// Forces the ant at `slot` into `a`.
@@ -323,93 +214,18 @@ impl ExactGreedyBank {
         crate::memory::bits_for_states(self.num_tasks + 1)
     }
 
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        self.assignment.swap_remove(slot);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> ExactGreedySliceMut<'_> {
-        ExactGreedySliceMut {
-            join: self.join,
-            leave: self.leave,
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment,
-        }
-    }
-
     /// Steps the single ant at `slot` (the sequential model's path).
     pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
         // See TrivialBank::step_slot: no allocation on the ≤ 64 path.
         let mut row = scratch_row(self.num_tasks);
-        ExactGreedySliceMut {
-            join: self.join,
-            leave: self.leave,
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment[slot..slot + 1],
-        }
-        .step_one(0, view, rng, &mut row)
+        self.slot_mut(slot).step_one(0, view, rng, &mut row);
+        self.assignment(slot)
     }
 }
 
-/// A disjoint mutable chunk of an [`ExactGreedyBank`].
-#[derive(Debug)]
-pub struct ExactGreedySliceMut<'a> {
-    join: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    assignment: &'a mut [u32],
-}
-
-impl<'a> ExactGreedySliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (ExactGreedySliceMut<'a>, ExactGreedySliceMut<'a>) {
-        let (a, b) = self.assignment.split_at_mut(mid);
-        (
-            ExactGreedySliceMut {
-                join: self.join,
-                leave: self.leave,
-                num_tasks: self.num_tasks,
-                assignment: a,
-            },
-            ExactGreedySliceMut {
-                join: self.join,
-                leave: self.leave,
-                num_tasks: self.num_tasks,
-                assignment: b,
-            },
-        )
-    }
-
-    /// Steps every ant in the chunk; bit-identical to per-ant
-    /// [`Controller::step`] on [`ExactGreedy`].
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
-        let mut row = scratch_row(self.num_tasks);
-        for i in 0..n {
-            out[i] = self.step_one(i, view, &mut rngs[i], &mut row);
-        }
-    }
-
-    /// Fused-apply variant of [`ExactGreedySliceMut::step_batch`]: same
-    /// draws, with each transition routed through `writer` (shared next
-    /// column + local delta) at the ant's colony id (`ids[i]`).
-    ///
-    /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
-    /// form runs the pre-existing hoisted-view loop; the per-ant form
-    /// re-selects the view per ant (`sensed.view_for(ids[i])`).
+impl ExactGreedySliceMut<'_> {
+    /// Steps every ant, routing each transition through `writer` at the
+    /// ant's colony id (`ids[i]`); see [`crate::BankSliceMut::step_batch_fused`].
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
@@ -417,24 +233,10 @@ impl<'a> ExactGreedySliceMut<'a> {
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, ids.len(), "one colony id per ant");
         let mut row = scratch_row(self.num_tasks);
-        match sensed.shared_view() {
-            Some(view) => {
-                for i in 0..n {
-                    self.step_one(i, view, &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
-                }
-            }
-            None => {
-                for i in 0..n {
-                    self.step_one(i, sensed.view_for(ids[i]), &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
-                }
-            }
-        }
+        drive!(self, sensed, rngs, ids, writer, |s, i, view, rng| {
+            s.step_one(i, view, rng, &mut row)
+        });
     }
 
     /// One ant's round. The coin order is the reference's: samples in
@@ -443,85 +245,56 @@ impl<'a> ExactGreedySliceMut<'a> {
     /// Idle-path sampling is the bit-packed batched draw for ≤ 64 tasks
     /// (see [`TrivialSliceMut::step_one`]).
     #[inline(always)]
-    fn step_one(
-        &mut self,
-        i: usize,
-        view: RoundView<'_>,
-        rng: &mut AntRng,
-        row: &mut [u8],
-    ) -> Assignment {
+    fn step_one(&mut self, i: usize, view: RoundView<'_>, rng: &mut AntRng, row: &mut [u8]) {
         let cur = self.assignment[i];
         if cur == IDLE {
             if self.num_tasks <= 64 {
                 let mask = view.lack_mask(rng);
-                if mask != 0 && self.join.sample(rng) {
+                if mask != 0 && self.consts.join.sample(rng) {
                     let pick = uniform_index(rng, mask.count_ones() as usize);
                     self.assignment[i] = nth_set_bit(mask, pick);
                 }
             } else {
                 view.fill_lack(rng, row);
                 let count = count_lacking(row);
-                if count > 0 && self.join.sample(rng) {
+                if count > 0 && self.consts.join.sample(rng) {
                     self.assignment[i] = nth_lacking(row, uniform_index(rng, count));
                 }
             }
-        } else if !view.sample(crate::cast::task_ix(cur), rng).is_lack() && self.leave.sample(rng) {
+        } else if !view.sample(crate::cast::task_ix(cur), rng).is_lack()
+            && self.consts.leave.sample(rng)
+        {
             self.assignment[i] = IDLE;
         }
-        dec(self.assignment[i])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antalloc_noise::{FeedbackProbe, NoiseModel};
-    use antalloc_rng::StreamSeeder;
+    use crate::bank::testkit::assert_matches_reference;
+    use crate::controller::AnyController;
+    use crate::ControllerBank;
 
     /// Both flat banks against their per-ant references, round for
     /// round, under sigmoid noise (every code path: joins, leaves,
-    /// coins, rejections).
+    /// coins, rejections), well-mixed and per-ant sensed.
     #[test]
     fn flat_banks_match_per_ant_stepping() {
-        let n = 150;
-        let k = 3;
-        let seeder = StreamSeeder::new(11);
-        let model = NoiseModel::Sigmoid { lambda: 1.5 };
+        let (n, k) = (150, 3);
+        let params = ExactGreedyParams::default();
+        for per_ant in [false, true] {
+            let mut bank = ControllerBank::Trivial(TrivialBank::new(k, n));
+            let mut reference: Vec<AnyController> =
+                (0..n).map(|_| Trivial::new(k).into()).collect();
+            let fresh = || Trivial::new(k).into();
+            assert_matches_reference(&mut bank, &mut reference, &fresh, k, 50, per_ant);
 
-        let mut trivial_bank = TrivialBank::new(k, n);
-        let mut trivial_ref: Vec<Trivial> = (0..n).map(|_| Trivial::new(k)).collect();
-        let mut greedy_bank = ExactGreedyBank::new(k, ExactGreedyParams::default(), n);
-        let mut greedy_ref: Vec<ExactGreedy> = (0..n)
-            .map(|_| ExactGreedy::new(k, ExactGreedyParams::default()))
-            .collect();
-
-        let mut bank_rngs: Vec<AntRng> = (0..2 * n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..2 * n).map(|i| seeder.ant(i)).collect();
-        let mut out = vec![Assignment::Idle; n];
-        for round in 1..=50u64 {
-            let prepared = model.prepare(round, &[2, 0, -3], &[15, 15, 15]);
-            trivial_bank
-                .as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs[..n], &mut out);
-            for (i, ant) in trivial_ref.iter_mut().enumerate() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(
-                    ant.step(&mut probe),
-                    out[i],
-                    "trivial ant {i} round {round}"
-                );
-            }
-            greedy_bank
-                .as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs[n..], &mut out);
-            for (i, ant) in greedy_ref.iter_mut().enumerate() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[n + i]);
-                assert_eq!(ant.step(&mut probe), out[i], "greedy ant {i} round {round}");
-            }
-        }
-        for i in 0..n {
-            assert_eq!(trivial_bank.assignment(i), trivial_ref[i].assignment());
-            assert_eq!(greedy_bank.assignment(i), greedy_ref[i].assignment());
+            let mut bank = ControllerBank::ExactGreedy(ExactGreedyBank::new(k, params, n));
+            let mut reference: Vec<AnyController> =
+                (0..n).map(|_| ExactGreedy::new(k, params).into()).collect();
+            let fresh = || ExactGreedy::new(k, params).into();
+            assert_matches_reference(&mut bank, &mut reference, &fresh, k, 50, per_ant);
         }
     }
 

@@ -22,20 +22,22 @@
 //!   Assumption 2.2 reachability checker, used by the Theorem 3.3
 //!   memory-floor experiments.
 //!
-//! All controllers implement [`Controller`]. Engines store ants in
-//! homogeneous [`ControllerBank`]s — one bank per controller kind,
-//! stepped in a tight monomorphic loop ([`step_slice`]) that is
-//! bit-identical to per-ant stepping; [`AnyController`] is the
-//! per-ant dispatch enum used for spawning, reference replays, and
-//! tests.
+//! All controllers implement [`Controller`]: these per-ant structs are
+//! the reference semantics. Engines store ants in homogeneous
+//! [`ControllerBank`]s — one column bank per controller kind, all built
+//! on one skeleton (per-ant state as flat columns, one fused stepping
+//! loop) and bit-identical to per-ant stepping. [`AnyController`] is
+//! the per-ant dispatch enum used for reference replays and tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod adversarial_bank;
 mod ant;
 mod ant_bank;
 mod bank;
 mod cast;
+mod column;
 mod controller;
 mod exact_greedy;
 mod flat_bank;
@@ -48,10 +50,11 @@ mod sigmoid_bank;
 mod table_fsm;
 mod trivial;
 
+pub use adversarial_bank::{AdversarialSliceMut, PreciseAdversarialBank};
 pub use ant::AlgorithmAnt;
 pub use ant_bank::{AntBank, AntSliceMut};
 pub use bank::{BankSliceMut, ControllerBank};
-pub use controller::{step_slice, step_slice_fused, AnyController, Controller};
+pub use controller::{step_slice_fused, AnyController, Controller};
 pub use exact_greedy::{ExactGreedy, ExactGreedyParams};
 pub use flat_bank::{ExactGreedyBank, ExactGreedySliceMut, TrivialBank, TrivialSliceMut};
 pub use memory::{bits_for_states, closeness_floor, MemoryFootprint};
@@ -62,5 +65,5 @@ pub use proportional::{
     ProportionalBank, ProportionalController, ProportionalParams, ProportionalSliceMut,
 };
 pub use sigmoid_bank::{PreciseSigmoidBank, SigmoidSliceMut};
-pub use table_fsm::{FsmSpec, ReachabilityError, TableFsm};
+pub use table_fsm::{FsmSpec, ReachabilityError, TableBank, TableFsm, TableSliceMut};
 pub use trivial::Trivial;

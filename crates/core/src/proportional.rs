@@ -28,8 +28,10 @@ use antalloc_env::{Assignment, ColumnWriter};
 use antalloc_noise::{FeedbackProbe, RoundView, SensedRound};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{count_lacking, dec, enc, nth_lacking, nth_set_bit, refill, IDLE};
+use crate::ant_bank::{count_lacking, nth_lacking, nth_set_bit};
+use crate::column::{column_bank, dec, drive, enc, IDLE};
 use crate::controller::Controller;
+use crate::flat_bank::scratch_row;
 
 /// Parameters of the proportional controller.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -178,29 +180,40 @@ impl Controller for ProportionalController {
     }
 }
 
-/// A homogeneous [`ProportionalController`] population in flat layout.
-#[derive(Clone, Debug)]
-pub struct ProportionalBank {
+/// The bank constants of a proportional-control bank.
+#[derive(Clone, Copy, Debug)]
+struct PropConsts {
     params: ProportionalParams,
     gain: Bernoulli,
-    num_tasks: usize,
-    /// Assignment per ant (`IDLE` when idle).
-    assignment: Vec<u32>,
-    /// Persisted-error streak per ant.
-    streak: Vec<u16>,
+}
+
+impl PropConsts {
+    fn new(params: ProportionalParams) -> Self {
+        Self {
+            params,
+            gain: Bernoulli::new(params.gain),
+        }
+    }
+}
+
+column_bank! {
+    /// A homogeneous [`ProportionalController`] population in flat layout.
+    pub struct ProportionalBank,
+    /// A disjoint mutable chunk of a [`ProportionalBank`].
+    ProportionalSliceMut {
+        consts: PropConsts,
+        fresh(c),
+        /// Assignment per ant (`IDLE` when idle).
+        assignment: u32 [1] = IDLE,
+        /// Persisted-error streak per ant.
+        streak: u16 [1] = 0,
+    }
 }
 
 impl ProportionalBank {
     /// An all-idle bank of `n` fresh ants.
     pub fn new(num_tasks: usize, params: ProportionalParams, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
-        Self {
-            params,
-            gain: Bernoulli::new(params.gain),
-            num_tasks,
-            assignment: vec![IDLE; n],
-            streak: vec![0; n],
-        }
+        Self::with_consts(PropConsts::new(params), num_tasks, n)
     }
 
     /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
@@ -208,33 +221,19 @@ impl ProportionalBank {
     /// reallocates). State after the call is bit-identical to
     /// `ProportionalBank::new(num_tasks, params, n)`.
     pub fn reinit(&mut self, num_tasks: usize, params: ProportionalParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        self.params = params;
-        self.gain = Bernoulli::new(params.gain);
-        self.num_tasks = num_tasks;
-        refill(&mut self.assignment, IDLE, n);
-        refill(&mut self.streak, 0, n);
+        self.consts = PropConsts::new(params);
+        self.reset_columns(num_tasks, n);
     }
 
     /// The parameters every ant in the bank runs.
     pub fn params(&self) -> &ProportionalParams {
-        &self.params
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
+        &self.consts.params
     }
 
     /// Appends a per-ant controller, transposing its state in.
     pub fn push_controller(&mut self, ant: &ProportionalController) {
         assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
-        debug_assert_eq!(ant.params(), &self.params, "parameter mismatch");
+        debug_assert_eq!(ant.params(), &self.consts.params, "parameter mismatch");
         self.assignment.push(enc(ant.assignment()));
         self.streak.push(ant.streak());
     }
@@ -243,7 +242,7 @@ impl ProportionalBank {
     /// extraction; lossless — assignment plus streak is the whole
     /// state).
     pub fn to_controller(&self, slot: usize) -> ProportionalController {
-        let mut ant = ProportionalController::new(self.num_tasks, self.params);
+        let mut ant = ProportionalController::new(self.num_tasks, self.consts.params);
         ant.reset_to(dec(self.assignment[slot]));
         ant.set_streak(self.streak[slot]);
         ant
@@ -261,11 +260,6 @@ impl ProportionalBank {
         self.streak[slot] = streak;
     }
 
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
     /// Forces the ant at `slot` into `a`.
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
         self.assignment[slot] = enc(a);
@@ -275,103 +269,21 @@ impl ProportionalBank {
     /// Persistent memory in bits (same accounting as the per-ant impl).
     pub fn memory_bits(&self) -> u32 {
         crate::memory::bits_for_states(self.num_tasks + 1)
-            + crate::memory::bits_for_states(usize::from(self.params.deadband) + 2)
-    }
-
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        self.assignment.swap_remove(slot);
-        self.streak.swap_remove(slot);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> ProportionalSliceMut<'_> {
-        ProportionalSliceMut {
-            gain: self.gain,
-            deadband: self.params.deadband,
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment,
-            streak: &mut self.streak,
-        }
+            + crate::memory::bits_for_states(usize::from(self.consts.params.deadband) + 2)
     }
 
     /// Steps the single ant at `slot` (the sequential model's path).
     pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
         // See TrivialBank::step_slot: no allocation on the ≤ 64 path.
-        let mut row = crate::flat_bank::scratch_row(self.num_tasks);
-        ProportionalSliceMut {
-            gain: self.gain,
-            deadband: self.params.deadband,
-            num_tasks: self.num_tasks,
-            assignment: &mut self.assignment[slot..slot + 1],
-            streak: &mut self.streak[slot..slot + 1],
-        }
-        .step_one(0, view, rng, &mut row)
+        let mut row = scratch_row(self.num_tasks);
+        self.slot_mut(slot).step_one(0, view, rng, &mut row);
+        self.assignment(slot)
     }
 }
 
-/// A disjoint mutable chunk of a [`ProportionalBank`].
-#[derive(Debug)]
-pub struct ProportionalSliceMut<'a> {
-    gain: Bernoulli,
-    deadband: u16,
-    num_tasks: usize,
-    assignment: &'a mut [u32],
-    streak: &'a mut [u16],
-}
-
-impl<'a> ProportionalSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
-        self.assignment.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.assignment.is_empty()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (ProportionalSliceMut<'a>, ProportionalSliceMut<'a>) {
-        let (a, b) = self.assignment.split_at_mut(mid);
-        let (s, t) = self.streak.split_at_mut(mid);
-        (
-            ProportionalSliceMut {
-                gain: self.gain,
-                deadband: self.deadband,
-                num_tasks: self.num_tasks,
-                assignment: a,
-                streak: s,
-            },
-            ProportionalSliceMut {
-                gain: self.gain,
-                deadband: self.deadband,
-                num_tasks: self.num_tasks,
-                assignment: b,
-                streak: t,
-            },
-        )
-    }
-
-    /// Steps every ant in the chunk; bit-identical to per-ant
-    /// [`Controller::step`] on [`ProportionalController`].
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
-        let mut row = crate::flat_bank::scratch_row(self.num_tasks);
-        for i in 0..n {
-            out[i] = self.step_one(i, view, &mut rngs[i], &mut row);
-        }
-    }
-
-    /// Fused-apply variant of [`ProportionalSliceMut::step_batch`]:
-    /// same draws, with each transition routed through `writer` (shared
-    /// next column + local delta) at the ant's colony id (`ids[i]`).
-    ///
-    /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
-    /// form runs the hoisted-view loop; the per-ant form re-selects the
-    /// view per ant (`sensed.view_for(ids[i])`).
+impl ProportionalSliceMut<'_> {
+    /// Steps every ant, routing each transition through `writer` at the
+    /// ant's colony id (`ids[i]`); see [`crate::BankSliceMut::step_batch_fused`].
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
@@ -379,24 +291,10 @@ impl<'a> ProportionalSliceMut<'a> {
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, ids.len(), "one colony id per ant");
-        let mut row = crate::flat_bank::scratch_row(self.num_tasks);
-        match sensed.shared_view() {
-            Some(view) => {
-                for i in 0..n {
-                    self.step_one(i, view, &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
-                }
-            }
-            None => {
-                for i in 0..n {
-                    self.step_one(i, sensed.view_for(ids[i]), &mut rngs[i], &mut row);
-                    writer.write(ids[i], self.assignment[i]);
-                }
-            }
-        }
+        let mut row = scratch_row(self.num_tasks);
+        drive!(self, sensed, rngs, ids, writer, |s, i, view, rng| {
+            s.step_one(i, view, rng, &mut row)
+        });
     }
 
     /// One ant's round. Draw order matches the reference: samples in
@@ -404,22 +302,16 @@ impl<'a> ProportionalSliceMut<'a> {
     /// uniform pick, then the gain coin; workers draw the gain coin
     /// only on a persisted `overload`.
     #[inline(always)]
-    fn step_one(
-        &mut self,
-        i: usize,
-        view: RoundView<'_>,
-        rng: &mut AntRng,
-        row: &mut [u8],
-    ) -> Assignment {
+    fn step_one(&mut self, i: usize, view: RoundView<'_>, rng: &mut AntRng, row: &mut [u8]) {
         let cur = self.assignment[i];
         if cur == IDLE {
             if self.num_tasks <= 64 {
                 let mask = view.lack_mask(rng);
                 if mask != 0 {
                     self.streak[i] = self.streak[i].saturating_add(1);
-                    if self.streak[i] > self.deadband {
+                    if self.streak[i] > self.consts.params.deadband {
                         let pick = uniform_index(rng, mask.count_ones() as usize);
-                        if self.gain.sample(rng) {
+                        if self.consts.gain.sample(rng) {
                             self.assignment[i] = nth_set_bit(mask, pick);
                             self.streak[i] = 0;
                         }
@@ -432,9 +324,9 @@ impl<'a> ProportionalSliceMut<'a> {
                 let count = count_lacking(row);
                 if count > 0 {
                     self.streak[i] = self.streak[i].saturating_add(1);
-                    if self.streak[i] > self.deadband {
+                    if self.streak[i] > self.consts.params.deadband {
                         let pick = uniform_index(rng, count);
-                        if self.gain.sample(rng) {
+                        if self.consts.gain.sample(rng) {
                             self.assignment[i] = nth_lacking(row, pick);
                             self.streak[i] = 0;
                         }
@@ -447,20 +339,22 @@ impl<'a> ProportionalSliceMut<'a> {
             self.streak[i] = 0;
         } else {
             self.streak[i] = self.streak[i].saturating_add(1);
-            if self.streak[i] > self.deadband && self.gain.sample(rng) {
+            if self.streak[i] > self.consts.params.deadband && self.consts.gain.sample(rng) {
                 self.assignment[i] = IDLE;
                 self.streak[i] = 0;
             }
         }
-        dec(self.assignment[i])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::testkit::assert_matches_reference;
+    use crate::controller::AnyController;
+    use crate::ControllerBank;
     use antalloc_noise::{Feedback, NoiseModel, PreparedRound};
-    use antalloc_rng::{StreamSeeder, Xoshiro256pp};
+    use antalloc_rng::Xoshiro256pp;
 
     use Feedback::{Lack as L, Overload as O};
 
@@ -548,36 +442,22 @@ mod tests {
     }
 
     /// The flat bank against the per-ant reference, round for round,
-    /// under sigmoid noise (joins, leaves, deadband streaks, coins).
+    /// under sigmoid noise (joins, leaves, deadband streaks, coins),
+    /// well-mixed and per-ant sensed.
     #[test]
     fn bank_matches_per_ant_stepping() {
-        let n = 150;
-        let k = 3;
+        let (n, k) = (150, 3);
         let params = ProportionalParams {
             gain: 0.4,
             deadband: 1,
         };
-        let seeder = StreamSeeder::new(17);
-        let model = NoiseModel::Sigmoid { lambda: 1.5 };
-        let mut bank = ProportionalBank::new(k, params, n);
-        let mut reference: Vec<ProportionalController> = (0..n)
-            .map(|_| ProportionalController::new(k, params))
-            .collect();
-        let mut bank_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut out = vec![Assignment::Idle; n];
-        for round in 1..=60u64 {
-            let prepared = model.prepare(round, &[2, 0, -3], &[15, 15, 15]);
-            bank.as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs, &mut out);
-            for (i, ant) in reference.iter_mut().enumerate() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round}");
-                assert_eq!(ant.streak(), bank.streak(i), "ant {i} streak");
-            }
-        }
-        for (i, ant) in reference.iter().enumerate() {
-            assert_eq!(bank.assignment(i), ant.assignment());
+        for per_ant in [false, true] {
+            let mut bank = ControllerBank::Proportional(ProportionalBank::new(k, params, n));
+            let mut reference: Vec<AnyController> = (0..n)
+                .map(|_| ProportionalController::new(k, params).into())
+                .collect();
+            let fresh = || ProportionalController::new(k, params).into();
+            assert_matches_reference(&mut bank, &mut reference, &fresh, k, 60, per_ant);
         }
     }
 

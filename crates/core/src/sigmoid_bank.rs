@@ -1,11 +1,11 @@
-//! Structure-of-arrays bank for §5 Algorithm Precise Sigmoid.
+//! Column bank for §5 Algorithm Precise Sigmoid.
 //!
 //! A Precise Sigmoid ant is mostly counters: two `u16` `lack` counts
 //! and one frozen median bit per task, incremented every round of a
 //! `2m`-round phase. The per-ant struct layout scatters those counters
 //! across three heap allocations per ant; this bank transposes them
 //! into flat planes — `count1`/`count2` as `n × k` `u16` arrays and
-//! `shat1_lack` as an `n × k` byte array, each ant's `k`-row contiguous
+//! `shat1` as an `n × k` byte array, each ant's `k`-row contiguous
 //! so the idle path (which touches all `k` entries) streams one cache
 //! line instead of chasing three pointers. The idle path's full-vector
 //! sample draws through the batched [`RoundView::fill_lack`].
@@ -25,38 +25,22 @@ use antalloc_env::{Assignment, ColumnWriter};
 use antalloc_noise::{RoundView, SensedRound};
 use antalloc_rng::{uniform_index, AntRng, Bernoulli};
 
-use crate::ant_bank::{dec, enc, refill, IDLE};
+use crate::column::{column_bank, dec, drive, enc, IDLE};
 use crate::controller::Controller;
 use crate::params::PreciseSigmoidParams;
 use crate::precise_sigmoid::{PreciseSigmoid, SigmoidRow};
 
-/// A homogeneous Precise Sigmoid population in structure-of-arrays
-/// layout.
-#[derive(Clone, Debug)]
-pub struct PreciseSigmoidBank {
+/// The bank constants of a Precise Sigmoid bank.
+#[derive(Clone, Copy, Debug)]
+struct SigmoidConsts {
     params: PreciseSigmoidParams,
     m: u64,
     pause: Bernoulli,
     leave: Bernoulli,
-    num_tasks: usize,
-    /// `currentTask` per ant (`IDLE` when idle).
-    current: Vec<u32>,
-    /// Output assignment `a_t` per ant.
-    assignment: Vec<u32>,
-    /// Phase-observed-from-start flag per ant.
-    have_phase: Vec<u8>,
-    /// First-half `lack` counts, ant-major `num_tasks` entries per ant.
-    count1: Vec<u16>,
-    /// Second-half `lack` counts, same shape.
-    count2: Vec<u16>,
-    /// Frozen first-half medians (1 = lack), same shape.
-    shat1: Vec<u8>,
 }
 
-impl PreciseSigmoidBank {
-    /// An all-idle bank of `n` fresh ants.
-    pub fn new(num_tasks: usize, params: PreciseSigmoidParams, n: usize) -> Self {
-        assert!(num_tasks >= 1, "at least one task");
+impl SigmoidConsts {
+    fn new(params: PreciseSigmoidParams) -> Self {
         let m = params.m();
         assert!(m <= u64::from(u16::MAX), "m too large for u16 counters");
         Self {
@@ -64,14 +48,36 @@ impl PreciseSigmoidBank {
             m,
             pause: Bernoulli::new(params.pause_probability()),
             leave: Bernoulli::new(params.leave_probability()),
-            num_tasks,
-            current: vec![IDLE; n],
-            assignment: vec![IDLE; n],
-            have_phase: vec![0; n],
-            count1: vec![0; n * num_tasks],
-            count2: vec![0; n * num_tasks],
-            shat1: vec![0; n * num_tasks],
         }
+    }
+}
+
+column_bank! {
+    /// A homogeneous Precise Sigmoid population in column layout.
+    pub struct PreciseSigmoidBank,
+    /// A disjoint mutable chunk of a [`PreciseSigmoidBank`].
+    SigmoidSliceMut {
+        consts: SigmoidConsts,
+        fresh(c),
+        /// Output assignment `a_t` per ant.
+        assignment: u32 [1] = IDLE,
+        /// `currentTask` per ant (`IDLE` when idle).
+        current: u32 [1] = IDLE,
+        /// Phase-observed-from-start flag per ant.
+        have_phase: u8 [1] = 0,
+        /// First-half `lack` counts, `k` per ant.
+        count1: u16 [k] = 0,
+        /// Second-half `lack` counts, same shape.
+        count2: u16 [k] = 0,
+        /// Frozen first-half medians (1 = lack), same shape.
+        shat1: u8 [k] = 0,
+    }
+}
+
+impl PreciseSigmoidBank {
+    /// An all-idle bank of `n` fresh ants.
+    pub fn new(num_tasks: usize, params: PreciseSigmoidParams, n: usize) -> Self {
+        Self::with_consts(SigmoidConsts::new(params), num_tasks, n)
     }
 
     /// Rebuilds the bank in place to `n` fresh all-idle ants, reusing
@@ -79,44 +85,22 @@ impl PreciseSigmoidBank {
     /// reallocates). State after the call is bit-identical to
     /// `PreciseSigmoidBank::new(num_tasks, params, n)`.
     pub fn reinit(&mut self, num_tasks: usize, params: PreciseSigmoidParams, n: usize) {
-        assert!(num_tasks >= 1, "at least one task");
-        let m = params.m();
-        assert!(m <= u64::from(u16::MAX), "m too large for u16 counters");
-        self.params = params;
-        self.m = m;
-        self.pause = Bernoulli::new(params.pause_probability());
-        self.leave = Bernoulli::new(params.leave_probability());
-        self.num_tasks = num_tasks;
-        refill(&mut self.current, IDLE, n);
-        refill(&mut self.assignment, IDLE, n);
-        refill(&mut self.have_phase, 0, n);
-        refill(&mut self.count1, 0, n * num_tasks);
-        refill(&mut self.count2, 0, n * num_tasks);
-        refill(&mut self.shat1, 0, n * num_tasks);
+        self.consts = SigmoidConsts::new(params);
+        self.reset_columns(num_tasks, n);
     }
 
     /// The parameters every ant in the bank runs.
     pub fn params(&self) -> &PreciseSigmoidParams {
-        &self.params
-    }
-
-    /// Number of ants.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// True iff the bank holds no ants.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
+        &self.consts.params
     }
 
     /// Appends a per-ant controller, transposing its state in.
     pub fn push_controller(&mut self, ant: &PreciseSigmoid) {
         assert_eq!(ant.num_tasks(), self.num_tasks, "task count mismatch");
-        debug_assert_eq!(ant.params(), &self.params, "parameter mismatch");
+        debug_assert_eq!(ant.params(), &self.consts.params, "parameter mismatch");
         let row = ant.row();
-        self.current.push(enc(row.current_task));
         self.assignment.push(enc(ant.assignment()));
+        self.current.push(enc(row.current_task));
         self.have_phase.push(u8::from(row.have_phase));
         self.count1.extend_from_slice(row.count1);
         self.count2.extend_from_slice(row.count2);
@@ -126,7 +110,7 @@ impl PreciseSigmoidBank {
     /// Reconstructs the per-ant controller at `slot` (reference
     /// extraction; lossless for the whole state, counters included).
     pub fn to_controller(&self, slot: usize) -> PreciseSigmoid {
-        let mut ant = PreciseSigmoid::new(self.num_tasks, self.params);
+        let mut ant = PreciseSigmoid::new(self.num_tasks, self.consts.params);
         ant.reset_to(dec(self.assignment[slot]));
         ant.set_row(self.row(slot));
         ant
@@ -162,11 +146,6 @@ impl PreciseSigmoidBank {
         self.shat1[at].copy_from_slice(row.shat1_lack);
     }
 
-    /// The assignment of the ant at `slot`.
-    pub fn assignment(&self, slot: usize) -> Assignment {
-        dec(self.assignment[slot])
-    }
-
     /// Forces the ant at `slot` into `a` (see
     /// [`crate::Controller::reset_to`]).
     pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
@@ -179,171 +158,34 @@ impl PreciseSigmoidBank {
     /// Persistent memory in bits (the shared accounting — identical to
     /// the per-ant impl by construction).
     pub fn memory_bits(&self) -> u32 {
-        crate::memory::sigmoid_memory_bits(self.num_tasks, self.m)
-    }
-
-    /// Removes the ant at `slot` by swap-removal.
-    pub fn swap_remove(&mut self, slot: usize) {
-        let k = self.num_tasks;
-        let last = self.len() - 1;
-        self.current.swap_remove(slot);
-        self.assignment.swap_remove(slot);
-        self.have_phase.swap_remove(slot);
-        for plane in [&mut self.count1, &mut self.count2] {
-            if slot != last {
-                let (head, tail) = plane.split_at_mut(last * k);
-                head[slot * k..slot * k + k].copy_from_slice(&tail[..k]);
-            }
-            plane.truncate(last * k);
-        }
-        if slot != last {
-            let (head, tail) = self.shat1.split_at_mut(last * k);
-            head[slot * k..slot * k + k].copy_from_slice(&tail[..k]);
-        }
-        self.shat1.truncate(last * k);
-    }
-
-    /// The whole bank as a splittable mutable slice.
-    pub fn as_slice_mut(&mut self) -> SigmoidSliceMut<'_> {
-        SigmoidSliceMut {
-            m: self.m,
-            pause: self.pause,
-            leave: self.leave,
-            num_tasks: self.num_tasks,
-            current: &mut self.current,
-            assignment: &mut self.assignment,
-            have_phase: &mut self.have_phase,
-            count1: &mut self.count1,
-            count2: &mut self.count2,
-            shat1: &mut self.shat1,
-        }
+        crate::memory::sigmoid_memory_bits(self.num_tasks, self.consts.m)
     }
 
     /// Steps the single ant at `slot` (the sequential model's path) —
     /// the same kernel as the bank loop, on a one-ant chunk.
     pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
-        let k = self.num_tasks;
-        // Stack scratch for the common ≤ 64-task case: this is the
-        // sequential model's per-round path, so no per-call allocation.
-        let mut stack = [0u8; 64];
-        let mut heap = Vec::new();
-        let row: &mut [u8] = if k <= 64 {
-            &mut stack[..k]
-        } else {
-            heap.resize(k, 0);
-            &mut heap
-        };
-        let mut slice = SigmoidSliceMut {
-            m: self.m,
-            pause: self.pause,
-            leave: self.leave,
-            num_tasks: k,
-            current: &mut self.current[slot..slot + 1],
-            assignment: &mut self.assignment[slot..slot + 1],
-            have_phase: &mut self.have_phase[slot..slot + 1],
-            count1: &mut self.count1[slot * k..slot * k + k],
-            count2: &mut self.count2[slot * k..slot * k + k],
-            shat1: &mut self.shat1[slot * k..slot * k + k],
-        };
-        let r = view.round() % (2 * slice.m);
-        slice.step_one(0, r, view, rng, row)
+        let mut one = self.slot_mut(slot);
+        let r = view.round() % (2 * one.consts.m);
+        with_row(one.num_tasks, |row| one.step_one(0, r, view, rng, row));
+        self.assignment(slot)
     }
 }
 
-/// A disjoint mutable chunk of a [`PreciseSigmoidBank`].
-#[derive(Debug)]
-pub struct SigmoidSliceMut<'a> {
-    m: u64,
-    pause: Bernoulli,
-    leave: Bernoulli,
-    num_tasks: usize,
-    current: &'a mut [u32],
-    assignment: &'a mut [u32],
-    have_phase: &'a mut [u8],
-    count1: &'a mut [u16],
-    count2: &'a mut [u16],
-    shat1: &'a mut [u8],
+/// Runs `f` with a `k`-byte scratch row: stack space for the common
+/// ≤ 64-task case, one heap buffer beyond.
+fn with_row<R>(k: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+    if k <= 64 {
+        f(&mut [0u8; 64][..k])
+    } else {
+        f(&mut vec![0u8; k])
+    }
 }
 
-impl<'a> SigmoidSliceMut<'a> {
-    /// Number of ants in the chunk.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// True iff the chunk is empty.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// Splits the chunk at `mid` into two disjoint chunks.
-    pub fn split_at_mut(self, mid: usize) -> (SigmoidSliceMut<'a>, SigmoidSliceMut<'a>) {
-        let k = self.num_tasks;
-        let (cu1, cu2) = self.current.split_at_mut(mid);
-        let (a1, a2) = self.assignment.split_at_mut(mid);
-        let (h1, h2) = self.have_phase.split_at_mut(mid);
-        let (c11, c12) = self.count1.split_at_mut(mid * k);
-        let (c21, c22) = self.count2.split_at_mut(mid * k);
-        let (s1, s2) = self.shat1.split_at_mut(mid * k);
-        (
-            SigmoidSliceMut {
-                m: self.m,
-                pause: self.pause,
-                leave: self.leave,
-                num_tasks: k,
-                current: cu1,
-                assignment: a1,
-                have_phase: h1,
-                count1: c11,
-                count2: c21,
-                shat1: s1,
-            },
-            SigmoidSliceMut {
-                m: self.m,
-                pause: self.pause,
-                leave: self.leave,
-                num_tasks: k,
-                current: cu2,
-                assignment: a2,
-                have_phase: h2,
-                count1: c12,
-                count2: c22,
-                shat1: s2,
-            },
-        )
-    }
-
-    /// Steps every ant in the chunk; bit-identical to per-ant
-    /// [`Controller::step`] on [`PreciseSigmoid`]. The phase position is
-    /// computed once for the whole chunk (all ants share the global
-    /// clock).
-    pub fn step_batch(&mut self, view: RoundView<'_>, rngs: &mut [AntRng], out: &mut [Assignment]) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, out.len(), "one decision slot per ant");
-        let r = view.round() % (2 * self.m);
-        // Stack scratch for the common ≤ 64-task case; one heap buffer
-        // per bank-round beyond that.
-        let mut stack = [0u8; 64];
-        let mut heap = Vec::new();
-        let row: &mut [u8] = if self.num_tasks <= 64 {
-            &mut stack[..self.num_tasks]
-        } else {
-            heap.resize(self.num_tasks, 0);
-            &mut heap
-        };
-        for i in 0..n {
-            out[i] = self.step_one(i, r, view, &mut rngs[i], row);
-        }
-    }
-
-    /// Fused-apply variant of [`SigmoidSliceMut::step_batch`]: same
-    /// draws, with each transition routed through `writer` (shared next
-    /// column + local delta) at the ant's colony id (`ids[i]`).
-    ///
-    /// Takes the round as a [`SensedRound`]: the well-mixed (shared)
-    /// form runs the pre-existing hoisted-view loop; the per-ant form
-    /// re-selects the view per ant (`sensed.view_for(ids[i])`).
+impl SigmoidSliceMut<'_> {
+    /// Steps every ant, routing each transition through `writer` at the
+    /// ant's colony id (`ids[i]`); see [`crate::BankSliceMut::step_batch_fused`].
+    /// The phase position is computed once for the whole chunk (all
+    /// ants share the global clock).
     pub fn step_batch_fused(
         &mut self,
         sensed: SensedRound<'_>,
@@ -351,32 +193,12 @@ impl<'a> SigmoidSliceMut<'a> {
         ids: &[u32],
         writer: &mut ColumnWriter<'_>,
     ) {
-        let n = self.len();
-        assert_eq!(n, rngs.len(), "one RNG stream per ant");
-        assert_eq!(n, ids.len(), "one colony id per ant");
-        let r = sensed.round() % (2 * self.m);
-        let mut stack = [0u8; 64];
-        let mut heap = Vec::new();
-        let row: &mut [u8] = if self.num_tasks <= 64 {
-            &mut stack[..self.num_tasks]
-        } else {
-            heap.resize(self.num_tasks, 0);
-            &mut heap
-        };
-        match sensed.shared_view() {
-            Some(view) => {
-                for i in 0..n {
-                    self.step_one(i, r, view, &mut rngs[i], row);
-                    writer.write(ids[i], self.assignment[i]);
-                }
-            }
-            None => {
-                for i in 0..n {
-                    self.step_one(i, r, sensed.view_for(ids[i]), &mut rngs[i], row);
-                    writer.write(ids[i], self.assignment[i]);
-                }
-            }
-        }
+        let r = sensed.round() % (2 * self.consts.m);
+        with_row(self.num_tasks, |row| {
+            drive!(self, sensed, rngs, ids, writer, |s, i, view, rng| {
+                s.step_one(i, r, view, rng, row)
+            })
+        });
     }
 
     /// One ant's round at phase position `r = round mod 2m`, mirroring
@@ -389,7 +211,7 @@ impl<'a> SigmoidSliceMut<'a> {
         view: RoundView<'_>,
         rng: &mut AntRng,
         row: &mut [u8],
-    ) -> Assignment {
+    ) {
         let k = self.num_tasks;
         if r == 1 {
             // Phase start: adopt a_{t−1} as currentTask, reset counters.
@@ -400,9 +222,9 @@ impl<'a> SigmoidSliceMut<'a> {
         }
         if self.have_phase[i] == 0 {
             // Joined mid-phase (reset); idle out the remainder.
-            return dec(self.assignment[i]);
+            return;
         }
-        let first_half = (1..=self.m).contains(&r);
+        let first_half = (1..=self.consts.m).contains(&r);
         let cur = self.current[i];
         {
             // sample_into: one draw for the current task, or the batched
@@ -422,15 +244,19 @@ impl<'a> SigmoidSliceMut<'a> {
                 }
             }
         }
-        let m = self.m;
+        let m = self.consts.m;
         let median_is_lack = move |count: u16| u64::from(count) * 2 > m;
-        if r == self.m {
+        if r == self.consts.m {
             // Freeze ŝ1 and take the temporary pause.
             for j in 0..k {
                 self.shat1[i * k + j] = u8::from(median_is_lack(self.count1[i * k + j]));
             }
             if cur != IDLE {
-                self.assignment[i] = if self.pause.sample(rng) { IDLE } else { cur };
+                self.assignment[i] = if self.consts.pause.sample(rng) {
+                    IDLE
+                } else {
+                    cur
+                };
             }
         } else if r == 0 {
             // Phase end: compute ŝ2 and decide, exactly as Algorithm Ant.
@@ -453,7 +279,7 @@ impl<'a> SigmoidSliceMut<'a> {
             } else {
                 let ju = i * k + crate::cast::task_ix(cur);
                 let both_overload = self.shat1[ju] == 0 && !median_is_lack(self.count2[ju]);
-                self.assignment[i] = if both_overload && self.leave.sample(rng) {
+                self.assignment[i] = if both_overload && self.consts.leave.sample(rng) {
                     IDLE
                 } else {
                     cur
@@ -462,51 +288,32 @@ impl<'a> SigmoidSliceMut<'a> {
             self.have_phase[i] = 0;
         }
         // All other rounds: keep the current assignment (a_t ← a_{t−1}).
-        dec(self.assignment[i])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::testkit::assert_matches_reference;
+    use crate::controller::AnyController;
+    use crate::ControllerBank;
     use antalloc_noise::{FeedbackProbe, NoiseModel};
     use antalloc_rng::StreamSeeder;
 
-    /// The SoA bank against the per-ant reference, round for round,
+    /// The column bank against the per-ant reference, round for round,
     /// across several full phases (joins, leaves, pauses, mid-phase
-    /// resets) — including reconstruction losslessness mid-phase.
+    /// resets, a removal and a spawn) — including reconstruction
+    /// losslessness mid-phase.
     #[test]
     fn soa_bank_matches_per_ant_stepping() {
-        let n = 80;
-        let k = 2;
+        let (n, k) = (80, 2);
         let params = PreciseSigmoidParams::new(0.05, 0.5); // phase 82
-        let seeder = StreamSeeder::new(23);
-        let mut bank = PreciseSigmoidBank::new(k, params, n);
-        let mut reference: Vec<PreciseSigmoid> =
-            (0..n).map(|_| PreciseSigmoid::new(k, params)).collect();
-        let mut bank_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let mut ref_rngs: Vec<AntRng> = (0..n).map(|i| seeder.ant(i)).collect();
-        let model = NoiseModel::Sigmoid { lambda: 1.0 };
-        let mut out = vec![Assignment::Idle; n];
-        for round in 1..=200u64 {
-            let prepared = model.prepare(round, &[5, -5], &[25, 25]);
-            bank.as_slice_mut()
-                .step_batch(prepared.view(), &mut bank_rngs, &mut out);
-            for (i, ant) in reference.iter_mut().enumerate() {
-                let mut probe = FeedbackProbe::new(&prepared, &mut ref_rngs[i]);
-                assert_eq!(ant.step(&mut probe), out[i], "ant {i} round {round}");
-                assert_eq!(ant.assignment(), bank.assignment(i), "ant {i}");
-            }
-            if round == 137 {
-                // Mid-phase reconstruction: counters must come out
-                // losslessly, so a rebuilt ant continues in lockstep.
-                for (i, ant) in reference.iter().enumerate() {
-                    let rebuilt = bank.to_controller(i);
-                    assert_eq!(rebuilt.row(), ant.row(), "ant {i}");
-                    assert_eq!(rebuilt.assignment(), ant.assignment());
-                }
-            }
-        }
+        let mut bank = ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(k, params, n));
+        let mut reference: Vec<AnyController> = (0..n)
+            .map(|_| PreciseSigmoid::new(k, params).into())
+            .collect();
+        let fresh = || PreciseSigmoid::new(k, params).into();
+        assert_matches_reference(&mut bank, &mut reference, &fresh, k, 200, false);
     }
 
     #[test]

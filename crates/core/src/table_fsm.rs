@@ -14,10 +14,11 @@
 
 use std::sync::Arc;
 
-use antalloc_env::Assignment;
-use antalloc_noise::{Feedback, FeedbackProbe, RoundView};
+use antalloc_env::{Assignment, ColumnWriter};
+use antalloc_noise::{Feedback, FeedbackProbe, RoundView, SensedRound};
 use antalloc_rng::AntRng;
 
+use crate::column::{column_bank, drive, enc, IDLE};
 use crate::controller::Controller;
 
 /// One weighted transition edge.
@@ -199,94 +200,81 @@ impl FsmSpec {
     }
 }
 
+impl FsmSpec {
+    /// The output of state `s`: `Task(0)` for working states, else
+    /// `Idle`.
+    fn output(&self, s: u16) -> Assignment {
+        if self.is_working(s) {
+            Assignment::Task(0)
+        } else {
+            Assignment::Idle
+        }
+    }
+
+    /// The state a reset to an assignment enters: the first state whose
+    /// output is working iff `working` (state 0 fallback).
+    fn reset_state(&self, working: bool) -> u16 {
+        (0..self.num_states() as u16)
+            .find(|&s| self.is_working(s) == working)
+            .unwrap_or(0)
+    }
+
+    /// The successor of `state` on observation `obs`: the cell's single
+    /// edge, or one `next_f64` draw over its weighted edges.
+    fn next_state(&self, state: u16, obs: Feedback, rng: &mut AntRng) -> u16 {
+        match &self.transitions[usize::from(state)][usize::from(!obs.is_lack())][..] {
+            [(target, _)] => *target,
+            edges => pick(edges, rng),
+        }
+    }
+}
+
+/// One `next_f64` draw over weighted edges (the last edge absorbs
+/// rounding).
+fn pick(edges: &[Edge], rng: &mut AntRng) -> u16 {
+    let mut x = rng.next_f64();
+    for &(target, p) in edges {
+        if x < p {
+            return target;
+        }
+        x -= p;
+    }
+    edges[edges.len() - 1].0
+}
+
 /// A running table machine: shared spec + private state.
 #[derive(Clone, Debug)]
 pub struct TableFsm {
     spec: Arc<FsmSpec>,
     state: u16,
-    assignment: Assignment,
 }
 
 impl TableFsm {
     /// Instantiates the machine in state 0.
     pub fn new(spec: Arc<FsmSpec>) -> Self {
-        let assignment = if spec.is_working(0) {
-            Assignment::Task(0)
-        } else {
-            Assignment::Idle
-        };
-        Self {
-            spec,
-            state: 0,
-            assignment,
-        }
+        Self { spec, state: 0 }
     }
 
     /// The machine's current state.
     pub fn state(&self) -> u16 {
         self.state
     }
-
-    /// Bank-loop entry point: steps a homogeneous slice of table
-    /// machines against one shared [`RoundView`]. Bit-identical to
-    /// per-ant [`Controller::step`].
-    pub fn step_bank(
-        ants: &mut [Self],
-        view: RoundView<'_>,
-        rngs: &mut [AntRng],
-        out: &mut [Assignment],
-    ) {
-        crate::controller::step_slice(ants, view, rngs, out)
-    }
-
-    fn transition(&mut self, obs: Feedback, rng: &mut AntRng) {
-        let cell = &self.spec.transitions[usize::from(self.state)][usize::from(!obs.is_lack())];
-        self.state = if cell.len() == 1 {
-            cell[0].0
-        } else {
-            let mut x = rng.next_f64();
-            let mut chosen = cell[cell.len() - 1].0;
-            for &(target, p) in cell {
-                if x < p {
-                    chosen = target;
-                    break;
-                }
-                x -= p;
-            }
-            chosen
-        };
-        self.assignment = if self.spec.is_working(self.state) {
-            Assignment::Task(0)
-        } else {
-            Assignment::Idle
-        };
-    }
 }
 
 impl Controller for TableFsm {
     fn step(&mut self, probe: &mut FeedbackProbe<'_>) -> Assignment {
         let obs = probe.sample(0);
-        self.transition(obs, probe.rng());
-        self.assignment
+        self.state = self.spec.next_state(self.state, obs, probe.rng());
+        self.assignment()
     }
 
     #[inline]
     fn assignment(&self) -> Assignment {
-        self.assignment
+        self.spec.output(self.state)
     }
 
     fn reset_to(&mut self, a: Assignment) {
-        // Enter the first state whose output matches (state 0 fallback).
-        let want_working = !a.is_idle();
-        let state = (0..self.spec.num_states() as u16)
-            .find(|&s| self.spec.is_working(s) == want_working)
-            .unwrap_or(0);
-        self.state = state;
-        self.assignment = if self.spec.is_working(state) {
-            Assignment::Task(0)
-        } else {
-            Assignment::Idle
-        };
+        self.state = self.spec.reset_state(!a.is_idle());
     }
 
     fn memory_bits(&self) -> u32 {
@@ -294,9 +282,134 @@ impl Controller for TableFsm {
     }
 }
 
+/// The bank constants of a table bank: the spec and the raw output of
+/// each state.
+#[derive(Clone, Debug)]
+struct TableConsts {
+    spec: Arc<FsmSpec>,
+    outputs: Box<[u32]>,
+}
+
+impl TableConsts {
+    fn new(spec: Arc<FsmSpec>) -> Self {
+        let outputs = (0..spec.num_states() as u16)
+            .map(|s| enc(spec.output(s)))
+            .collect();
+        Self { spec, outputs }
+    }
+}
+
+column_bank! {
+    /// A homogeneous table-machine population: one shared spec and a
+    /// state column.
+    pub struct TableBank,
+    /// A disjoint mutable chunk of a [`TableBank`].
+    TableSliceMut {
+        consts: TableConsts,
+        fresh(c),
+        /// Output of each ant's state (`IDLE` when idle).
+        assignment: u32 [1] = c.outputs[0],
+        /// Machine state per ant.
+        state: u16 [1] = 0,
+    }
+}
+
+impl TableBank {
+    /// A bank of `n` machines in state 0, sharing `spec`.
+    pub fn new(num_tasks: usize, spec: Arc<FsmSpec>, n: usize) -> Self {
+        Self::with_consts(TableConsts::new(spec), num_tasks, n)
+    }
+
+    /// Rebuilds the bank in place to `n` machines in state 0, reusing
+    /// the column allocations; bit-identical to
+    /// `TableBank::new(num_tasks, spec, n)`.
+    pub fn reinit(&mut self, num_tasks: usize, spec: Arc<FsmSpec>, n: usize) {
+        self.consts = TableConsts::new(spec);
+        self.reset_columns(num_tasks, n);
+    }
+
+    /// Appends a per-ant machine, copying its state in.
+    pub fn push_controller(&mut self, fsm: &TableFsm) {
+        debug_assert_eq!(fsm.spec, self.consts.spec, "spec mismatch");
+        self.state.push(fsm.state);
+        self.assignment.push(enc(fsm.assignment()));
+    }
+
+    /// Reconstructs the per-ant machine at `slot` (reference extraction;
+    /// lossless — the state is the whole machine).
+    pub fn to_controller(&self, slot: usize) -> TableFsm {
+        TableFsm {
+            spec: self.consts.spec.clone(),
+            state: self.state[slot],
+        }
+    }
+
+    /// The first slot whose state is not the one a reset to its
+    /// assignment enters — state that checkpoints cannot carry yet.
+    pub fn first_unreset_slot(&self) -> Option<usize> {
+        let spec = &self.consts.spec;
+        let reset = [spec.reset_state(false), spec.reset_state(true)];
+        (0..self.len()).find(|&s| self.state[s] != reset[usize::from(self.assignment[s] != IDLE)])
+    }
+
+    /// The state of the machine at `slot`.
+    pub fn state(&self, slot: usize) -> u16 {
+        self.state[slot]
+    }
+
+    /// Forces the machine at `slot` into the first state whose output
+    /// matches `a` (see [`Controller::reset_to`]).
+    pub fn reset_slot(&mut self, slot: usize, a: Assignment) {
+        let state = self.consts.spec.reset_state(!a.is_idle());
+        self.state[slot] = state;
+        self.assignment[slot] = self.consts.outputs[usize::from(state)];
+    }
+
+    /// Persistent memory in bits (same accounting as the per-ant impl).
+    pub fn memory_bits(&self) -> u32 {
+        crate::memory::bits_for_states(self.consts.spec.num_states())
+    }
+
+    /// Steps the single machine at `slot` (the sequential model's path).
+    pub fn step_slot(&mut self, slot: usize, view: RoundView<'_>, rng: &mut AntRng) -> Assignment {
+        self.slot_mut(slot).step_one(0, view, rng);
+        self.assignment(slot)
+    }
+}
+
+impl TableSliceMut<'_> {
+    /// Steps every machine, routing each transition through `writer` at
+    /// the ant's colony id (`ids[i]`); see
+    /// [`crate::BankSliceMut::step_batch_fused`].
+    pub fn step_batch_fused(
+        &mut self,
+        sensed: SensedRound<'_>,
+        rngs: &mut [AntRng],
+        ids: &[u32],
+        writer: &mut ColumnWriter<'_>,
+    ) {
+        drive!(self, sensed, rngs, ids, writer, |s, i, view, rng| {
+            s.step_one(i, view, rng)
+        });
+    }
+
+    /// One machine's round: observe task 0, take the transition (the
+    /// per-ant [`TableFsm`]'s code).
+    #[inline(always)]
+    fn step_one(&mut self, i: usize, view: RoundView<'_>, rng: &mut AntRng) {
+        let obs = view.sample(0, rng);
+        let state = self.consts.spec.next_state(self.state[i], obs, rng);
+        self.state[i] = state;
+        self.assignment[i] = self.consts.outputs[usize::from(state)];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bank::testkit::assert_matches_reference;
+    use crate::controller::AnyController;
+    use crate::ControllerBank;
     use antalloc_noise::NoiseModel;
     use antalloc_rng::Xoshiro256pp;
 
@@ -429,6 +542,31 @@ mod tests {
                 [vec![(0, 1.0)], vec![(1, 1.0)]],
             ],
         );
+    }
+
+    /// The table bank against per-ant machines under per-ant
+    /// (arena-style) sensing, across a removal, a fresh spawn and
+    /// resets: lazy hysteresis (one- and two-edge cells drawing coins)
+    /// and a machine with three-edge cells.
+    #[test]
+    fn bank_matches_per_ant_reference_under_per_ant_sensing() {
+        let wide = FsmSpec::new(
+            vec![true, false, false],
+            vec![
+                [vec![(0, 1.0)], vec![(1, 0.3), (2, 0.3), (0, 0.4)]],
+                [vec![(0, 0.5), (1, 0.5)], vec![(1, 1.0)]],
+                [vec![(0, 0.2), (1, 0.3), (2, 0.5)], vec![(1, 1.0)]],
+            ],
+        );
+        for spec in [FsmSpec::lazy_hysteresis(3, 0.5), wide] {
+            let spec = Arc::new(spec);
+            let n = 90;
+            let mut bank = ControllerBank::Table(TableBank::new(1, spec.clone(), n));
+            let mut reference: Vec<AnyController> =
+                (0..n).map(|_| TableFsm::new(spec.clone()).into()).collect();
+            let fresh = || TableFsm::new(spec.clone()).into();
+            assert_matches_reference(&mut bank, &mut reference, &fresh, 1, 40, true);
+        }
     }
 
     #[test]

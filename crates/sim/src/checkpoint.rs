@@ -51,12 +51,17 @@
 //! Exceptions: `ControllerSpec::AntDesync` has, by construction, no
 //! global phase boundary — the offset half of the colony is always
 //! mid-phase — so its restores are *approximate* (the offset half skips
-//! one decision and self-stabilizes); likewise kill-perturbations
-//! reshuffle which index carries which offset.
+//! one decision and self-stabilizes); nor is its phase-offset column
+//! captured: a restore rebuilds offsets as global id % 2, which after
+//! kills or spawns differs from the run's. Table-FSM (`Hysteresis`) machine states are not
+//! captured either, so [`Checkpoint::capture`] refuses with
+//! [`CheckpointError::TableStateNotCaptured`] while any machine is in a
+//! state other than the one a reset to its assignment enters.
 
 use std::path::Path;
 
-use antalloc_env::{DemandVector, Timeline, Trigger, TriggerState};
+use antalloc_core::ControllerBank;
+use antalloc_env::{Timeline, Trigger, TriggerState};
 use antalloc_noise::NoiseModel;
 use bytes::{Buf, BufMut};
 
@@ -95,6 +100,17 @@ pub enum CheckpointError {
         /// The controller's phase length.
         phase: u64,
     },
+    /// A table-FSM (Hysteresis) ant is mid-streak: its machine state is
+    /// not the one a reset to its assignment enters. Checkpoints do not
+    /// carry table-FSM states yet, so a restore would silently diverge.
+    TableStateNotCaptured {
+        /// The engine's round.
+        round: u64,
+        /// The first such ant's global id.
+        ant: u32,
+        /// Its machine state.
+        state: u16,
+    },
     /// The byte stream is not a valid checkpoint.
     Corrupt(String),
 }
@@ -105,6 +121,11 @@ impl core::fmt::Display for CheckpointError {
             CheckpointError::NotAtPhaseBoundary { round, phase } => write!(
                 f,
                 "checkpoint requires round % phase == 0 (round {round}, phase {phase})"
+            ),
+            CheckpointError::TableStateNotCaptured { round, ant, state } => write!(
+                f,
+                "ant {ant} is in table-FSM state {state} at round {round}, which a checkpoint \
+                 cannot carry (only the state a reset to its assignment enters)"
             ),
             CheckpointError::Corrupt(msg) => write!(f, "corrupt checkpoint: {msg}"),
         }
@@ -138,7 +159,8 @@ impl Checkpoint {
     /// Snapshots the engine. Fails off *capture* phase boundaries —
     /// kinds whose mid-phase state is serialized (Precise Sigmoid) can
     /// capture at any round; the rest only where their per-phase
-    /// scratch is empty (see module docs).
+    /// scratch is empty (see module docs) — and while any table-FSM ant
+    /// is mid-streak ([`CheckpointError::TableStateNotCaptured`]).
     pub fn capture(engine: &SyncEngine) -> Result<Self, CheckpointError> {
         let state = engine.state_parts();
         let phase = state
@@ -150,6 +172,17 @@ impl Checkpoint {
                 round: state.round,
                 phase,
             });
+        }
+        for bank in state.population.banks() {
+            if let ControllerBank::Table(b) = &bank.controllers {
+                if let Some(slot) = b.first_unreset_slot() {
+                    return Err(CheckpointError::TableStateNotCaptured {
+                        round: state.round,
+                        ant: bank.ants[slot],
+                        state: b.state(slot),
+                    });
+                }
+            }
         }
         Ok(Self {
             config: state.config.clone(),
@@ -163,12 +196,10 @@ impl Checkpoint {
         })
     }
 
-    /// Rebuilds a running engine.
+    /// Rebuilds a running engine: [`Checkpoint::restore_into`] an
+    /// engine shell that holds no ants yet.
     pub fn restore(&self) -> SyncEngine {
-        let mut engine = SyncEngine::new(
-            self.config.clone(),
-            DemandVector::new(self.config.demands.clone()),
-        );
+        let mut engine = SyncEngine::shell(&self.config);
         self.restore_into(&mut engine);
         engine
     }
@@ -1118,6 +1149,36 @@ mod tests {
         // And a truncated tail still errors cleanly end-to-end.
         bytes.truncate(bytes.len() - 1);
         assert!(Checkpoint::from_bytes(&bytes).is_err());
+    }
+
+    /// Checkpoints do not carry table-FSM states yet, so a Hysteresis
+    /// machine of depth > 1 caught mid-streak must refuse capture
+    /// rather than restore into its reset state and diverge. At round 0
+    /// every machine is in its reset state, so capture still works.
+    #[test]
+    fn mid_streak_table_states_refuse_capture() {
+        let hysteresis = |depth| ControllerSpec::Hysteresis { depth, lazy: None };
+        let specs = [
+            hysteresis(3),
+            ControllerSpec::Mix(vec![(1.0, ControllerSpec::Trivial), (1.0, hysteresis(2))]),
+        ];
+        for spec in specs {
+            // Weak feedback keeps the signals noisy, so streaks break.
+            let cfg = SimConfig::builder(200, vec![100])
+                .noise(NoiseModel::Sigmoid { lambda: 0.05 })
+                .controller(spec)
+                .seed(3)
+                .build()
+                .expect("valid scenario");
+            let mut engine = cfg.build();
+            assert!(Checkpoint::capture(&engine).is_ok(), "round 0 captures");
+            engine.run(8, &mut NullObserver);
+            let err = Checkpoint::capture(&engine).unwrap_err();
+            assert!(
+                matches!(err, CheckpointError::TableStateNotCaptured { round: 8, .. }),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -354,23 +354,26 @@ impl Tail {
                         },
                     );
                 }
-                (ADVERSARIAL, ControllerBank::PreciseAdversarial(v)) => {
+                (ADVERSARIAL, ControllerBank::PreciseAdversarial(b)) => {
                     let flags = &bytes[at + 4..at + 9];
                     for (l, &byte) in all_lack.iter_mut().zip(&bytes[at + 9..at + 9 + k]) {
                         *l = byte == 1;
                     }
-                    v[slot].set_row(AdversarialRow {
-                        current_task: Assignment::from_raw(le_u32(&bytes[at..at + 4])),
-                        have_phase: flags[0] == 1,
-                        all_overload: flags[1] == 1,
-                        frozen_working: flags[2] == 1,
-                        pending_first_lack: flags[3] == 1,
-                        working_at_first_lack: match flags[4] {
-                            0 => None,
-                            t => Some(t == 2),
+                    b.set_row(
+                        slot,
+                        AdversarialRow {
+                            current_task: Assignment::from_raw(le_u32(&bytes[at..at + 4])),
+                            have_phase: flags[0] == 1,
+                            all_overload: flags[1] == 1,
+                            frozen_working: flags[2] == 1,
+                            pending_first_lack: flags[3] == 1,
+                            working_at_first_lack: match flags[4] {
+                                0 => None,
+                                t => Some(t == 2),
+                            },
+                            all_lack: &all_lack,
                         },
-                        all_lack: &all_lack,
-                    });
+                    );
                     at += 9 + k;
                 }
                 (PROPORTIONAL, ControllerBank::Proportional(b)) => {
@@ -410,8 +413,8 @@ fn put_scratch(out: &mut Vec<u8>, ant: u32, bank: &ControllerBank, slot: usize) 
             }
             out.extend_from_slice(row.shat1_lack);
         }
-        ControllerBank::PreciseAdversarial(v) => {
-            let row = v[slot].row();
+        ControllerBank::PreciseAdversarial(b) => {
+            let row = b.row(slot);
             out.put_u32_le(ant);
             out.put_u8(ADVERSARIAL);
             out.put_u32_le(row.current_task.to_raw());

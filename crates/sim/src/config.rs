@@ -4,9 +4,10 @@ use std::sync::Arc;
 
 use antalloc_core::{
     AlgorithmAnt, AntBank, AntParams, AnyController, ControllerBank, ExactGreedy, ExactGreedyBank,
-    ExactGreedyParams, FsmSpec, PreciseAdversarial, PreciseAdversarialParams, PreciseSigmoid,
-    PreciseSigmoidBank, PreciseSigmoidParams, ProportionalBank, ProportionalController,
-    ProportionalParams, TableFsm, Trivial, TrivialBank,
+    ExactGreedyParams, FsmSpec, PreciseAdversarial, PreciseAdversarialBank,
+    PreciseAdversarialParams, PreciseSigmoid, PreciseSigmoidBank, PreciseSigmoidParams,
+    ProportionalBank, ProportionalController, ProportionalParams, TableBank, TableFsm, Trivial,
+    TrivialBank,
 };
 use antalloc_env::{ArenaConfig, DemandVector, InitialConfig, Timeline};
 use antalloc_noise::NoiseModel;
@@ -120,41 +121,34 @@ impl ControllerSpec {
     /// # Panics
     /// For `Mix`: banks are built per sub-spec.
     pub fn build_bank(&self, num_tasks: usize, ids: &[u32]) -> ControllerBank {
-        match self {
-            // Synchronized Ant colonies get the SoA fast layout.
-            ControllerSpec::Ant(p) => {
-                ControllerBank::AntSoA(AntBank::new(num_tasks, *p, ids.len()))
-            }
-            ControllerSpec::AntDesync(p) => ControllerBank::Ant(
-                ids.iter()
-                    .map(|&i| AlgorithmAnt::with_phase_offset(num_tasks, *p, u64::from(i % 2)))
-                    .collect(),
-            ),
-            // The remaining synchronized kinds get their SoA fast
-            // layouts too (bit-identical to the per-ant references).
-            ControllerSpec::PreciseSigmoid(p) => {
-                ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(num_tasks, *p, ids.len()))
-            }
-            ControllerSpec::PreciseAdversarial(p) => ControllerBank::PreciseAdversarial(
-                ids.iter()
-                    .map(|_| PreciseAdversarial::new(num_tasks, *p))
-                    .collect(),
-            ),
-            ControllerSpec::Trivial => {
-                ControllerBank::Trivial(TrivialBank::new(num_tasks, ids.len()))
-            }
-            ControllerSpec::ExactGreedy(p) => {
-                ControllerBank::ExactGreedy(ExactGreedyBank::new(num_tasks, *p, ids.len()))
-            }
-            ControllerSpec::Proportional(p) => {
-                ControllerBank::Proportional(ProportionalBank::new(num_tasks, *p, ids.len()))
-            }
-            ControllerSpec::Hysteresis { depth, lazy } => {
-                let spec = Arc::new(Self::hysteresis_spec(*depth, *lazy));
-                ControllerBank::Table(ids.iter().map(|_| TableFsm::new(spec.clone())).collect())
-            }
-            ControllerSpec::Mix(_) => panic!("Mix builds one bank per sub-spec"),
+        let n = ids.len();
+        let mut bank =
+            match self {
+                ControllerSpec::Ant(p) | ControllerSpec::AntDesync(p) => {
+                    ControllerBank::Ant(AntBank::new(num_tasks, *p, n))
+                }
+                ControllerSpec::PreciseSigmoid(p) => {
+                    ControllerBank::PreciseSigmoid(PreciseSigmoidBank::new(num_tasks, *p, n))
+                }
+                ControllerSpec::PreciseAdversarial(p) => ControllerBank::PreciseAdversarial(
+                    PreciseAdversarialBank::new(num_tasks, *p, n),
+                ),
+                ControllerSpec::Trivial => ControllerBank::Trivial(TrivialBank::new(num_tasks, n)),
+                ControllerSpec::ExactGreedy(p) => {
+                    ControllerBank::ExactGreedy(ExactGreedyBank::new(num_tasks, *p, n))
+                }
+                ControllerSpec::Proportional(p) => {
+                    ControllerBank::Proportional(ProportionalBank::new(num_tasks, *p, n))
+                }
+                ControllerSpec::Hysteresis { depth, lazy } => ControllerBank::Table(
+                    TableBank::new(num_tasks, Arc::new(Self::hysteresis_spec(*depth, *lazy)), n),
+                ),
+                ControllerSpec::Mix(_) => panic!("Mix builds one bank per sub-spec"),
+            };
+        if let (ControllerSpec::AntDesync(_), ControllerBank::Ant(b)) = (self, &mut bank) {
+            b.stagger(ids);
         }
+        bank
     }
 
     /// Rebuilds `bank` in place to the state [`ControllerSpec::build_bank`]
@@ -165,35 +159,28 @@ impl ControllerSpec {
     /// # Panics
     /// For `Mix`: banks are rebuilt per sub-spec.
     pub fn rebuild_bank(&self, num_tasks: usize, ids: &[u32], bank: &mut ControllerBank) {
+        let n = ids.len();
         match (self, &mut *bank) {
-            (ControllerSpec::Ant(p), ControllerBank::AntSoA(b)) => {
-                b.reinit(num_tasks, *p, ids.len());
-            }
-            (ControllerSpec::AntDesync(p), ControllerBank::Ant(ants)) => {
-                let fresh =
-                    [0, 1].map(|offset| AlgorithmAnt::with_phase_offset(num_tasks, *p, offset));
-                refill_from(ants, ids, |i| &fresh[(i % 2) as usize]);
+            (ControllerSpec::Ant(p), ControllerBank::Ant(b)) => b.reinit(num_tasks, *p, n),
+            (ControllerSpec::AntDesync(p), ControllerBank::Ant(b)) => {
+                b.reinit(num_tasks, *p, n);
+                b.stagger(ids);
             }
             (ControllerSpec::PreciseSigmoid(p), ControllerBank::PreciseSigmoid(b)) => {
-                b.reinit(num_tasks, *p, ids.len());
+                b.reinit(num_tasks, *p, n)
             }
-            (ControllerSpec::PreciseAdversarial(p), ControllerBank::PreciseAdversarial(ants)) => {
-                let fresh = PreciseAdversarial::new(num_tasks, *p);
-                refill_from(ants, ids, |_| &fresh);
+            (ControllerSpec::PreciseAdversarial(p), ControllerBank::PreciseAdversarial(b)) => {
+                b.reinit(num_tasks, *p, n)
             }
-            (ControllerSpec::Trivial, ControllerBank::Trivial(b)) => {
-                b.reinit(num_tasks, ids.len());
-            }
+            (ControllerSpec::Trivial, ControllerBank::Trivial(b)) => b.reinit(num_tasks, n),
             (ControllerSpec::ExactGreedy(p), ControllerBank::ExactGreedy(b)) => {
-                b.reinit(num_tasks, *p, ids.len());
+                b.reinit(num_tasks, *p, n)
             }
             (ControllerSpec::Proportional(p), ControllerBank::Proportional(b)) => {
-                b.reinit(num_tasks, *p, ids.len());
+                b.reinit(num_tasks, *p, n)
             }
-            (ControllerSpec::Hysteresis { depth, lazy }, ControllerBank::Table(machines)) => {
-                let spec = Arc::new(Self::hysteresis_spec(*depth, *lazy));
-                machines.clear();
-                machines.extend(ids.iter().map(|_| TableFsm::new(spec.clone())));
+            (ControllerSpec::Hysteresis { depth, lazy }, ControllerBank::Table(b)) => {
+                b.reinit(num_tasks, Arc::new(Self::hysteresis_spec(*depth, *lazy)), n)
             }
             (ControllerSpec::Mix(_), _) => panic!("Mix rebuilds one bank per sub-spec"),
             // Kind changed between jobs: fall back to a fresh build.
@@ -257,18 +244,6 @@ impl ControllerSpec {
     }
 }
 
-/// Rebuilds a per-ant bank to one controller per id in `ids`, each a
-/// copy of `fresh(id)`, cloning into the controllers already there so
-/// their buffers are reused.
-fn refill_from<'a, T: Clone + 'a>(bank: &mut Vec<T>, ids: &[u32], fresh: impl Fn(u32) -> &'a T) {
-    bank.truncate(ids.len());
-    for (c, &i) in bank.iter_mut().zip(ids) {
-        c.clone_from(fresh(i));
-    }
-    let kept = bank.len();
-    bank.extend(ids[kept..].iter().map(|&i| fresh(i).clone()));
-}
-
 /// Least common multiple, saturating at `u64::MAX`.
 fn lcm(a: u64, b: u64) -> u64 {
     fn gcd(mut a: u64, mut b: u64) -> u64 {
@@ -326,8 +301,7 @@ impl SimConfig {
     /// [`crate::ConfigError`] instead of panicking.
     pub fn try_build(&self) -> Result<SyncEngine, crate::ConfigError> {
         self.validate_structure()?;
-        let demands = DemandVector::new(self.demands.clone());
-        Ok(SyncEngine::new(self.clone(), demands))
+        Ok(SyncEngine::new(self))
     }
 
     /// Builds the sequential-model engine (Appendix D.1) after the same

@@ -21,7 +21,7 @@
 //!   [`SyncEngine::run_parallel`] at any thread count,
 //! * bank-wise stepping versus per-ant reference stepping (each ant
 //!   consumes only its own RNG stream, in the same order; see
-//!   [`antalloc_core::step_slice`]),
+//!   [`antalloc_core::ControllerBank`]),
 //! * a checkpoint captured at a phase boundary, restored and resumed,
 //!   versus the uninterrupted run.
 //!
@@ -88,10 +88,9 @@ fn apply_perturbation(
             }
         }
         Perturbation::Spawn { count } => {
-            let k = colony.num_tasks();
             for _ in 0..*count {
                 let stream = seeder.stream(*next_stream);
-                population.spawn(k, *next_stream, stream);
+                population.spawn(*next_stream, stream);
                 *next_stream += 1;
                 if let Some(a) = arena.as_deref_mut() {
                     a.spawn();
@@ -178,6 +177,18 @@ impl TimelineRun {
                     .stream(reserved::EVENT)
                     .next_u64(),
             ),
+        }
+    }
+
+    /// No events and no triggers: the placeholder an engine shell holds
+    /// until [`SyncEngine::reset_from`] or a checkpoint restore compiles
+    /// the config's timeline.
+    fn empty() -> Self {
+        Self {
+            compiled: Timeline::default(),
+            cursor: 0,
+            trigger_states: Vec::new(),
+            seeder: StreamSeeder::new(0),
         }
     }
 
@@ -378,32 +389,36 @@ pub struct SyncEngine {
 }
 
 impl SyncEngine {
-    pub(crate) fn new(config: SimConfig, demands: DemandVector) -> Self {
-        let n = config.n;
-        let k = demands.num_tasks();
+    /// The engine `config.build()` returns (after validation).
+    pub(crate) fn new(config: &SimConfig) -> Self {
+        let mut engine = Self::shell(config);
+        engine.reset_from(config);
+        engine
+    }
+
+    /// The smallest engine for `config` — one ant (colonies are never
+    /// empty), no arena and no compiled timeline: the shell that
+    /// [`SyncEngine::reset_from`] and checkpoint restores fill in place,
+    /// so neither derives per-ant state or compiles the timeline twice.
+    pub(crate) fn shell(config: &SimConfig) -> Self {
+        let k = config.demands.len();
         let seeder = StreamSeeder::new(config.seed);
-        let mut engine = Self {
-            timeline: TimelineRun::new(&config),
-            colony: ColonyState::new(n, demands),
-            population: Population::build(&config.controller, config.seed, k, n),
+        Self {
+            timeline: TimelineRun::empty(),
+            colony: ColonyState::new(1, DemandVector::new(config.demands.clone())),
+            population: Population::build(&config.controller, config.seed, k, 1),
             noise: config.noise.clone(),
             seeder,
             init_rng: seeder.stream(reserved::INIT),
             round: 0,
             pre_deficits: vec![0; k],
             post_deficits: vec![0; k],
-            next_stream: n as u64,
-            next_column: TaskColumn::new(n),
+            next_stream: 1,
+            next_column: TaskColumn::new(1),
             round_delta: RoundDelta::new(k),
-            arena: config
-                .arena
-                .as_ref()
-                .map(|a| RwLock::new(ArenaState::new(a, n, config.seed))),
-            config,
-        };
-        let initial = engine.config.initial.clone();
-        engine.set_initial(&initial);
-        engine
+            arena: None,
+            config: config.clone(),
+        }
     }
 
     /// Rebuilds this engine in place to the state `config.build()`

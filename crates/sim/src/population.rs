@@ -339,8 +339,9 @@ impl Population {
 
     /// Persistent memory of ant `i`'s controller, in bits.
     pub fn memory_bits(&self, i: usize) -> u32 {
-        let (b, s) = self.index[i];
-        self.banks[b as usize].controllers.memory_bits(s as usize)
+        self.banks[self.index[i].0 as usize]
+            .controllers
+            .memory_bits()
     }
 
     /// Removes the ant with global id `victim`, mirroring the colony's
@@ -369,16 +370,16 @@ impl Population {
     /// Appends a freshly spawned ant (global id `len()`) with RNG
     /// stream `stream`. Homogeneous colonies spawn into their single
     /// bank; mixes draw the sub-spec deterministically from `stream`.
-    pub fn spawn(&mut self, num_tasks: usize, stream: u64, rng: AntRng) {
+    pub fn spawn(&mut self, stream: u64, rng: AntRng) {
         let b = match &self.mix {
             None => 0,
             Some(mix) => mix.pick_spawn(stream),
         };
         let id = self.index.len() as u32;
         let bank = &mut self.banks[b];
-        // Spawns use the spec's plain single-ant build (desync spawns
-        // get offset 0, matching the pre-bank engines).
-        bank.controllers.push(bank.spec.build(num_tasks));
+        // A fresh slot of the bank's kind (desync spawns run offset 0,
+        // matching the pre-bank engines).
+        bank.controllers.push_fresh();
         bank.rngs.push(rng);
         self.index.push((b as u32, bank.ants.len() as u32));
         bank.ants.push(id);
@@ -503,7 +504,7 @@ mod tests {
         // Spawn back; membership picks stay in range.
         let seeder = StreamSeeder::new(3);
         for stream in 40..45u64 {
-            p.spawn(2, stream, seeder.stream(stream));
+            p.spawn(stream, seeder.stream(stream));
         }
         assert_eq!(p.len(), 42);
         assert!(p.check_invariants());

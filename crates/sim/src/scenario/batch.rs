@@ -916,6 +916,11 @@ impl Sweep {
             if probe.initial != self.base.initial {
                 return fail("the initial configuration changes the prefix");
             }
+            if let (Some(base), Some(point)) = (&self.base.arena, &probe.arena) {
+                if point.num_sites() != base.num_sites() {
+                    return fail("the arena's site count changes the captured sites");
+                }
+            }
             if let Some(why) = self.base.timeline.prefix_divergence(&probe.timeline, r) {
                 return fail(&why);
             }
@@ -1772,6 +1777,65 @@ mod tests {
             .rounds(30)
             .run();
         assert!(ok.is_ok(), "{ok:?}");
+    }
+
+    /// A fork carries the captured arena sites over, so a grid point
+    /// with a different site count is rejected up front.
+    #[test]
+    fn fork_precheck_rejects_a_different_arena_site_count() {
+        use antalloc_env::ArenaConfig;
+        let arena = |site_of_task: Vec<u32>| ArenaConfig {
+            site_of_task,
+            travel_rounds: 1,
+            wander_probability: 0.05,
+        };
+        let mut four = base();
+        four.demands = vec![20, 20, 20, 20];
+        four.arena = Some(arena(vec![0, 1, 2, 3]));
+        let err = Sweep::new(four.clone())
+            .axis("sites", [4.0, 2.0], move |cfg, sites| {
+                let site_of_task = (0..4).map(|j| j * sites as u32 / 4).collect();
+                cfg.arena = Some(arena(site_of_task));
+            })
+            .from_round(10)
+            .rounds(10)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, ConfigError::Fork(_)), "{err:?}");
+        // Same geometry, different wandering: fine.
+        let ok = Sweep::new(four)
+            .axis("wander", [0.05, 0.1], move |cfg, p| {
+                cfg.arena = Some(ArenaConfig {
+                    wander_probability: p,
+                    ..arena(vec![0, 1, 2, 3])
+                });
+            })
+            .from_round(10)
+            .rounds(10)
+            .run();
+        assert!(ok.is_ok(), "{ok:?}");
+    }
+
+    /// A prefix capture refused by the checkpoint (here: Hysteresis
+    /// machines mid-streak) surfaces as a typed fork error.
+    #[test]
+    fn from_round_on_a_mid_streak_hysteresis_colony_is_a_fork_error() {
+        let mut cfg = base();
+        cfg.demands = vec![150];
+        cfg.noise = NoiseModel::Sigmoid { lambda: 0.05 };
+        cfg.controller = ControllerSpec::Hysteresis {
+            depth: 3,
+            lazy: None,
+        };
+        let err = Sweep::new(cfg)
+            .axis("demand", [150.0, 160.0], |cfg, d| {
+                cfg.demands = vec![d as u64]
+            })
+            .from_round(8)
+            .rounds(5)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, ConfigError::Fork(_)), "{err:?}");
     }
 
     #[test]

@@ -140,14 +140,20 @@ fn every_spec() -> Vec<(ControllerSpec, usize)> {
             ]),
             1,
         ),
-        // Every SoA-banked kind at once: Ant, Precise Sigmoid, Trivial,
-        // ExactGreedy and Proportional racing inside one colony.
+        // Every column-banked multi-task kind at once: Ant, AntDesync,
+        // Precise Sigmoid, Precise Adversarial, Trivial, ExactGreedy and
+        // Proportional racing inside one colony.
         (
             ControllerSpec::Mix(vec![
                 (1.0, ControllerSpec::Ant(AntParams::new(1.0 / 16.0))),
+                (1.0, ControllerSpec::AntDesync(AntParams::new(1.0 / 16.0))),
                 (
                     1.0,
                     ControllerSpec::PreciseSigmoid(PreciseSigmoidParams::new(0.05, 0.5)),
+                ),
+                (
+                    1.0,
+                    ControllerSpec::PreciseAdversarial(PreciseAdversarialParams::new(0.05, 0.5)),
                 ),
                 (1.0, ControllerSpec::Trivial),
                 (
